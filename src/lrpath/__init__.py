@@ -23,7 +23,7 @@ from .schedule import (
     LRSeries,
     ScheduleConfig,
     ScheduleKind,
-    decay_segment,
+    decay_lr,
     dump_curve,
     lr_at,
     validate_config,
@@ -40,7 +40,7 @@ __all__ = [
     "UpdateSpec",
     "build_plan",
     "build_two_stage_probe",
-    "decay_segment",
+    "decay_lr",
     "dump_curve",
     "equalize_cpt_cost",
     "lr_at",

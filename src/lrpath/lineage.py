@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional

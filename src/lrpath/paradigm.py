@@ -16,16 +16,25 @@ from enum import Enum
 from typing import Optional, Union
 
 from . import schedule as sched
-from .errors import AlphaDegenerate, InvalidSpec, PlanViolation
+from .errors import (
+    AlphaDegenerate,
+    InvalidConfig,
+    InvalidSpec,
+    PlanViolation,
+    SchemaMismatch,
+    UnsupportedKind,
+)
 from .schedule import (
+    DECAYING_KINDS,
     INFINITE,
-    LRSeries,
     ScheduleConfig,
     ScheduleKind,
-    decay_segment,
+    decay_lr,
     lr_at,
     validate_config,
 )
+
+PLAN_FORMAT_VERSION = 2
 
 
 class PathKind(str, Enum):
@@ -136,26 +145,42 @@ class SegmentRef:
 
 @dataclass(frozen=True)
 class ScheduleProfile:
-    """LR given by a schedule evaluated at offset + local step."""
+    """LR given by a schedule evaluated at offset + local step.
+
+    With `hold_min`, steps past the horizon hold eta_min instead of being
+    out of range (a probe cycle that ends before its phase does).
+    """
 
     config: ScheduleConfig
     offset: int = 0
+    hold_min: bool = False
 
     def lr(self, local_step: int) -> float:
-        return lr_at(self.config, self.offset + local_step)
+        step = self.offset + local_step
+        if self.hold_min and step > self.config.horizon:
+            return self.config.eta_min
+        return lr_at(self.config, step)
 
 
 @dataclass(frozen=True)
-class SeriesProfile:
-    """LR given pointwise by a materialized series (local steps 0..n-1)."""
+class DecayProfile:
+    """Complete decay from eta_max to eta_min over `length` local steps."""
 
-    series: LRSeries
+    config: ScheduleConfig
+    length: int
+
+    def __post_init__(self):
+        validate_config(self.config)
+        if self.length < 1:
+            raise InvalidConfig(f"decay length must be >= 1, got {self.length}")
+        if self.config.kind not in DECAYING_KINDS:
+            raise UnsupportedKind(f"{self.config.kind} has no decay shape")
 
     def lr(self, local_step: int) -> float:
-        return self.series.points[local_step][1]
+        return decay_lr(self.config, self.length, local_step)
 
 
-LRProfile = Union[ScheduleProfile, SeriesProfile]
+LRProfile = Union[ScheduleProfile, DecayProfile]
 
 
 @dataclass(frozen=True)
@@ -307,7 +332,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     path=PathKind.BRANCH,
                     init_from=fork,
                     num_steps=b,
-                    lr_profile=SeriesProfile(decay_segment(base, b)),
+                    lr_profile=DecayProfile(base, b),
                     data_segments=(SegmentRef(i, "remainder"),),
                     emits_version_checkpoint=True,
                 )
@@ -367,15 +392,8 @@ def build_two_stage_probe(
     cfg2 = base.replace(
         kind=ScheduleKind.COSINE, warmup_steps=0, horizon=second_cycle
     )
-    if second_cycle != INFINITE and second_len > second_cycle:
-        # the cycle ends before the probe does; hold eta_min afterwards
-        points = tuple(
-            (s, lr_at(cfg2, s) if s <= second_cycle else base.eta_min)
-            for s in range(second_len)
-        )
-        profile2: LRProfile = SeriesProfile(LRSeries(points))
-    else:
-        profile2 = ScheduleProfile(cfg2)
+    # a cycle that ends before the probe does holds eta_min afterwards
+    profile2 = ScheduleProfile(cfg2, hold_min=second_len > second_cycle)
     stage1 = Phase(
         phase_id="stage1",
         version=1,
@@ -451,10 +469,10 @@ def validate_plan(plan: TrainingPlan) -> None:
         if phase.num_steps < 1:
             raise PlanViolation(pid, "num_steps must be >= 1")
         profile = phase.lr_profile
-        if isinstance(profile, SeriesProfile):
-            if len(profile.series) != phase.num_steps:
-                raise PlanViolation(pid, "lr series length differs from num_steps")
-        else:
+        if isinstance(profile, DecayProfile):
+            if profile.length != phase.num_steps:
+                raise PlanViolation(pid, "decay length differs from num_steps")
+        elif not profile.hold_min:
             h = profile.config.horizon
             if h != INFINITE and profile.offset + phase.num_steps - 1 > h:
                 raise PlanViolation(pid, "schedule horizon shorter than phase")
@@ -534,26 +552,32 @@ def spec_from_dict(d: dict) -> UpdateSpec:
 
 
 def _profile_to_dict(profile: LRProfile) -> dict:
-    if isinstance(profile, ScheduleProfile):
+    if isinstance(profile, DecayProfile):
         return {
-            "type": "schedule",
+            "type": "decay",
             "config": sched.config_to_dict(profile.config),
-            "offset": profile.offset,
+            "length": profile.length,
         }
     return {
-        "type": "series",
-        "points": [[s, lr] for s, lr in profile.series.points],
+        "type": "schedule",
+        "config": sched.config_to_dict(profile.config),
+        "offset": profile.offset,
+        "hold_min": profile.hold_min,
     }
 
 
 def _profile_from_dict(d: dict) -> LRProfile:
+    cfg = sched.config_from_dict(d["config"])
+    if d["type"] == "decay":
+        return DecayProfile(cfg, int(d["length"]))
     if d["type"] == "schedule":
-        return ScheduleProfile(sched.config_from_dict(d["config"]), int(d["offset"]))
-    return SeriesProfile(LRSeries(tuple((int(s), float(lr)) for s, lr in d["points"])))
+        return ScheduleProfile(cfg, int(d["offset"]), bool(d["hold_min"]))
+    raise SchemaMismatch(f"unknown lr profile type {d['type']!r}")
 
 
 def plan_to_dict(plan: TrainingPlan) -> dict:
     return {
+        "format_version": PLAN_FORMAT_VERSION,
         "paradigm": paradigm_to_dict(plan.paradigm),
         "spec": spec_to_dict(plan.spec),
         "phases": [
@@ -577,6 +601,10 @@ def plan_to_json(plan: TrainingPlan) -> str:
 
 
 def plan_from_dict(d: dict) -> TrainingPlan:
+    if d.get("format_version") != PLAN_FORMAT_VERSION:
+        raise SchemaMismatch(
+            f"unsupported plan format_version {d.get('format_version')!r}"
+        )
     phases = tuple(
         Phase(
             phase_id=p["phase_id"],

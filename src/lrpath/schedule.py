@@ -12,7 +12,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import InvalidConfig, StepOutOfRange, UnsupportedKind
 
@@ -56,13 +55,6 @@ class LRSeries:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def lr(self, step: int) -> float:
-        idx = step - self.points[0][0]
-        s, lr = self.points[idx]
-        if s != step:
-            raise StepOutOfRange(f"series has no point at step {step}")
-        return lr
 
     def to_csv(self) -> str:
         lines = ["step,lr"]
@@ -108,7 +100,7 @@ def _decay_value(cfg: ScheduleConfig, u: float) -> float:
     """Decay shape of the post-warmup window, u in [0, 1] -> lr.
 
     For Knee the explore plateau is part of the shape; the fast-decay
-    profile in decay_segment() deliberately compresses only the decaying
+    profile in decay_lr() deliberately compresses only the decaying
     tail (see there).
     """
     if cfg.kind is ScheduleKind.COSINE:
@@ -158,41 +150,28 @@ def lr_at(cfg: ScheduleConfig, step: int) -> float:
     return _decay_value(cfg, (step - w) / (horizon - w))
 
 
-def decay_segment(cfg: ScheduleConfig, length: int) -> LRSeries:
-    """Compressed complete decay from eta_max to eta_min over `length` steps.
+def decay_lr(cfg: ScheduleConfig, length: int, step: int) -> float:
+    """LR at local `step` of a complete decay from eta_max to eta_min.
 
-    Uses the kind's decay shape without warmup: cosine curve, linear for
-    Knee (the explore plateau belongs to the uncompressed schedule, not to
-    a fast decay), and the two lowered plateaus for MultiStep, split
-    proportionally to their original shares of the decay window.  The
-    final point is exactly eta_min.
+    The decay spans `length` steps and uses the kind's decay shape without
+    warmup: cosine curve, linear for Knee (the explore plateau belongs to
+    the uncompressed schedule, not to a fast decay), and the two lowered
+    plateaus for MultiStep, split proportionally to their original shares
+    of the decay window.  The last step is exactly eta_min.  The caller
+    validates (cfg, length) once; see paradigm.DecayProfile.
     """
-    validate_config(cfg)
-    if length < 1:
-        raise InvalidConfig(f"decay length must be >= 1, got {length}")
-    if cfg.kind not in DECAYING_KINDS:
-        raise UnsupportedKind(f"{cfg.kind} has no decay shape")
-
-    points: list[tuple[int, float]] = []
+    if not 0 <= step < length:
+        raise StepOutOfRange(f"step {step} outside a decay of {length} steps")
+    if step == length - 1:
+        return cfg.eta_min
+    i = step + 1
     if cfg.kind is ScheduleKind.MULTISTEP:
         b1, b2 = cfg.multistep_breaks
-        share1 = (b2 - b1) / (1.0 - b1)
-        n1 = round(length * share1)
-        f1, _ = cfg.multistep_factors
-        for i in range(1, length + 1):
-            lr = f1 * cfg.eta_max if i <= n1 else cfg.eta_min
-            points.append((i - 1, lr))
-    elif cfg.kind is ScheduleKind.KNEE:
-        for i in range(1, length + 1):
-            t = i / length
-            lr = cfg.eta_max + (cfg.eta_min - cfg.eta_max) * t
-            points.append((i - 1, lr))
-    else:  # cosine
-        for i in range(1, length + 1):
-            points.append((i - 1, _decay_value(cfg, i / length)))
-    # Exact endpoint regardless of float rounding in the shape.
-    points[-1] = (length - 1, cfg.eta_min)
-    return LRSeries(tuple(points))
+        n1 = round(length * ((b2 - b1) / (1.0 - b1)))
+        return cfg.multistep_factors[0] * cfg.eta_max if i <= n1 else cfg.eta_min
+    if cfg.kind is ScheduleKind.KNEE:
+        return cfg.eta_max + (cfg.eta_min - cfg.eta_max) * (i / length)
+    return _decay_value(cfg, i / length)
 
 
 def dump_curve(cfg: ScheduleConfig, start: int, stop: int, stride: int) -> LRSeries:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -112,14 +111,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.95
     eps: float = 1e-8
-
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        return _views(self.m_flat, self.config)
-
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        return _views(self.v_flat, self.config)
 
     def copy(self) -> "AdamState":
         return AdamState(

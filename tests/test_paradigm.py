@@ -4,14 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpath.errors import AlphaDegenerate, InvalidSpec, PlanViolation
+from lrpath.errors import (
+    AlphaDegenerate,
+    InvalidSpec,
+    PlanViolation,
+    SchemaMismatch,
+    StepOutOfRange,
+)
 from lrpath.paradigm import (
     CptVariant,
+    DecayProfile,
     Paradigm,
     PathKind,
     ScheduleProfile,
     SegmentRef,
-    SeriesProfile,
     UpdateSpec,
     build_plan,
     build_two_stage_probe,
@@ -106,7 +112,7 @@ class TestBuildPlanPathSwitch:
         branch = plan.phase("v2-branch")
         assert branch.init_from == "v2-main"
         assert branch.emits_version_checkpoint
-        assert isinstance(branch.lr_profile, SeriesProfile)
+        assert isinstance(branch.lr_profile, DecayProfile)
         assert branch.lr_profile.lr(branch.num_steps - 1) == 3e-5
 
     def test_main_continuation_shares_remainder_data(self):
@@ -183,6 +189,20 @@ class TestTwoStageProbe:
         with pytest.raises(InvalidSpec):
             build_two_stage_probe(5000, 10_000, 10_000, 10_000, spec4())
 
+    def test_cycle_ending_early_holds_min(self):
+        plan = build_two_stage_probe(INFINITE, 10_000, 5000, 10_000, spec4())
+        s2 = plan.phases[1]
+        assert s2.lr_profile.hold_min
+        assert abs(s2.lr_profile.lr(5000) - 3e-5) < 1e-18
+        assert s2.lr_profile.lr(5001) == s2.lr_profile.lr(9999) == 3e-5
+        validate_plan(plan)
+
+    def test_cycle_covering_probe_does_not_hold(self):
+        s2 = build_two_stage_probe(INFINITE, 10_000, 10_000, 10_000, spec4()).phases[1]
+        assert not s2.lr_profile.hold_min
+        with pytest.raises(StepOutOfRange):
+            s2.lr_profile.lr(10_001)
+
 
 class TestEqualizeCptCost:
     def test_worked_example(self):
@@ -230,19 +250,24 @@ class TestValidatePlan:
         plan = build_plan(Paradigm.path_switch(0.6), spec4())
         phases = list(plan.phases)
         idx = next(i for i, p in enumerate(phases) if p.phase_id == "v2-branch")
-        bad_series = dataclasses.replace(
+        # a decay that ends at 2 * eta_min instead of eta_min
+        bad_decay = dataclasses.replace(
             phases[idx],
-            lr_profile=SeriesProfile(
-                phases[idx].lr_profile.series.__class__(
-                    tuple(
-                        (s, lr if s < phases[idx].num_steps - 1 else 2 * 3e-5)
-                        for s, lr in phases[idx].lr_profile.series.points
-                    )
-                )
-            ),
+            lr_profile=DecayProfile(BASE.replace(eta_min=2 * 3e-5), phases[idx].num_steps),
         )
-        phases[idx] = bad_series
+        assert bad_decay.lr_profile.lr(bad_decay.num_steps - 1) == 2 * 3e-5
+        phases[idx] = bad_decay
         with pytest.raises(PlanViolation):
+            validate_plan(dataclasses.replace(plan, phases=tuple(phases)))
+
+    def test_decay_length_mismatch(self):
+        import dataclasses
+
+        plan = build_plan(Paradigm.path_switch(0.6), spec4())
+        phases = list(plan.phases)
+        idx = next(i for i, p in enumerate(phases) if p.phase_id == "v2-branch")
+        phases[idx] = dataclasses.replace(phases[idx], num_steps=phases[idx].num_steps + 1)
+        with pytest.raises(PlanViolation, match="decay length"):
             validate_plan(dataclasses.replace(plan, phases=tuple(phases)))
 
     def test_double_emission(self):
@@ -268,16 +293,50 @@ class TestValidatePlan:
 class TestSerialization:
     @pytest.mark.parametrize(
         "kind",
-        [Paradigm.ptfs(), Paradigm.cpt(CptVariant.KEEP_MIN), Paradigm.path_switch(0.6)],
+        [
+            Paradigm.ptfs(),
+            Paradigm.cpt(CptVariant.KEEP_MIN),
+            Paradigm.path_switch(0.6),
+            Paradigm.cpt(CptVariant.RESET_MAX),
+            Paradigm.cpt(CptVariant.REWARM_MAX),
+            Paradigm.path_switch(1.0),
+        ],
     )
     def test_round_trip(self, kind):
         plan = build_plan(kind, uniform_spec(3, 400, BASE.replace(warmup_steps=50)))
         assert plan_from_dict(plan_to_dict(plan)) == plan
+        assert plan_from_dict(json.loads(plan_to_json(plan))) == plan
+
+    @pytest.mark.parametrize("second_cycle", [200, 400, INFINITE], ids=["held", "exact", "inf"])
+    def test_probe_round_trip(self, second_cycle):
+        spec = uniform_spec(2, 400, BASE.replace(warmup_steps=50))
+        plan = build_two_stage_probe(INFINITE, 400, second_cycle, 400, spec)
+        assert plan.phases[1].lr_profile.hold_min == (second_cycle == 200)
+        assert plan_from_dict(json.loads(plan_to_json(plan))) == plan
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_other_format_version_rejected(self, version):
+        # a v1 document: no format_version, branches as per-step "series"
+        plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+        doc = plan_to_dict(plan)
+        del doc["format_version"]
+        branch = next(p for p in doc["phases"] if p["path"] == "branch")
+        branch["lr"] = {"type": "series", "points": [[s, 3e-4] for s in range(branch["num_steps"])]}
+        if version is not None:
+            doc["format_version"] = version
+        with pytest.raises(SchemaMismatch, match=f"format_version {version!r}"):
+            plan_from_dict(doc)
+
+    @pytest.mark.parametrize("steps", [100, 100_000])
+    def test_json_size_independent_of_steps(self, steps):
+        plan = build_plan(Paradigm.path_switch(0.6), uniform_spec(12, steps, BASE.replace(warmup_steps=10)))
+        assert len(plan_to_json(plan).encode()) < 64 * 1024
 
     def test_stable_field_order(self):
         plan = build_plan(Paradigm.ptfs(), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
         doc = json.loads(plan_to_json(plan))
-        assert list(doc) == ["paradigm", "spec", "phases"]
+        assert list(doc) == ["format_version", "paradigm", "spec", "phases"]
+        assert doc["format_version"] == 2
         assert list(doc["phases"][0]) == [
             "phase_id",
             "version",

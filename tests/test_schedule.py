@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpath.errors import InvalidConfig, StepOutOfRange, UnsupportedKind
+from lrpath.paradigm import DecayProfile
 from lrpath.schedule import (
     INFINITE,
     ScheduleConfig,
     ScheduleKind,
-    decay_segment,
+    decay_lr,
     dump_curve,
     lr_at,
     validate_config,
@@ -107,17 +108,15 @@ class TestProperties:
         assert rel_err(lr_at(cfg, 10_000), 3e-5) < 1e-12
 
     def test_decay_identity_cosine(self):
-        series = decay_segment(COSINE, 8000)
-        for i, (_, lr) in enumerate(series.points):
-            assert rel_err(lr, lr_at(COSINE, 2001 + i)) < 1e-12
+        for i in range(8000):
+            assert rel_err(decay_lr(COSINE, 8000, i), lr_at(COSINE, 2001 + i)) < 1e-12
 
     def test_decay_identity_knee_no_plateau(self):
         # With no explore plateau the knee decay window spans [W, L], so
         # an uncompressed fast decay must reproduce it pointwise.
         cfg = COSINE.replace(kind=ScheduleKind.KNEE, knee_explore_fraction=0.0)
-        series = decay_segment(cfg, 8000)
-        for i, (_, lr) in enumerate(series.points):
-            assert rel_err(lr, lr_at(cfg, 2001 + i)) < 1e-12
+        for i in range(8000):
+            assert rel_err(decay_lr(cfg, 8000, i), lr_at(cfg, 2001 + i)) < 1e-12
 
     @given(st.floats(0.5, 100.0), st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -131,30 +130,38 @@ class TestProperties:
 
 
 class TestDecaySegment:
+    """The complete decay a branch runs: decay_lr and DecayProfile."""
+
     def test_cosine_branch(self):
-        series = decay_segment(COSINE, 6000)
-        assert len(series) == 6000
-        assert series.points[-1][1] == 3e-5
-        assert series.points[0][1] <= 3e-4
+        profile = DecayProfile(COSINE, 6000)
+        assert profile.length == 6000
+        assert profile.lr(5999) == 3e-5
+        assert profile.lr(0) <= 3e-4
+        with pytest.raises(StepOutOfRange):
+            profile.lr(6000)
+        with pytest.raises(StepOutOfRange):
+            profile.lr(-1)
 
     def test_knee_two_point(self):
         cfg = COSINE.replace(kind=ScheduleKind.KNEE)
-        series = decay_segment(cfg, 2)
         mid = 3e-4 + (3e-5 - 3e-4) * 0.5
-        assert rel_err(series.points[0][1], mid) < 1e-12
-        assert series.points[1][1] == 3e-5
+        assert rel_err(decay_lr(cfg, 2, 0), mid) < 1e-12
+        assert decay_lr(cfg, 2, 1) == 3e-5
 
     def test_multistep_split(self):
         cfg = COSINE.replace(kind=ScheduleKind.MULTISTEP)
-        series = decay_segment(cfg, 1000)
-        lrs = [lr for _, lr in series.points]
+        lrs = [decay_lr(cfg, 1000, s) for s in range(1000)]
         assert all(rel_err(lr, 0.316 * 3e-4) < 1e-12 for lr in lrs[:500])
         assert all(lr == 3e-5 for lr in lrs[500:])
 
     @pytest.mark.parametrize("kind", [ScheduleKind.CONSTANT, ScheduleKind.INVERSE_SQRT])
     def test_unsupported_kinds(self, kind):
         with pytest.raises(UnsupportedKind):
-            decay_segment(COSINE.replace(kind=kind, horizon=INFINITE), 100)
+            DecayProfile(COSINE.replace(kind=kind, horizon=INFINITE), 100)
+
+    def test_bad_length(self):
+        with pytest.raises(InvalidConfig):
+            DecayProfile(COSINE, 0)
 
 
 class TestDumpCurve:
