@@ -22,7 +22,6 @@ from .paradigm import (
     UpdateSpec,
     build_plan,
     plan_to_json,
-    uniform_spec,
 )
 from .schedule import INFINITE, ScheduleConfig, ScheduleKind
 from .trainer import RunConfig, ToyModelConfig, run_experiment

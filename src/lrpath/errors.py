@@ -65,10 +65,6 @@ class ShapeMismatch(LrPathError):
     pass
 
 
-class StaleCache(LrPathError):
-    pass
-
-
 class NonFiniteUpdate(LrPathError):
     pass
 

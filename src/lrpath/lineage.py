@@ -33,7 +33,7 @@ from .paradigm import (
     validate_spec,
 )
 
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 PAYLOAD_MAGIC = b"LRPC"
 _HEADER = struct.Struct("<4sIQQQ")  # magic, format version, param count, seed, step
 
@@ -47,10 +47,8 @@ def derive_seed(seed: int, name: str) -> int:
 @dataclass(frozen=True)
 class DataSegment:
     segment_id: str  # matches SegmentRef.ref_id, e.g. "inc2/prefix"
-    increment_index: int
     start_offset: int  # tokens
     length: int  # tokens
-    sampling_seed: int
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class Manifest:
     spec: UpdateSpec
     records: list[CheckpointRecord] = field(default_factory=list)
     segments: list[DataSegment] = field(default_factory=list)
-    format_version: int = MANIFEST_FORMAT_VERSION
 
 
 def allocate_segments(
@@ -94,30 +91,17 @@ def allocate_segments(
             f"need {demand} tokens but corpus holds {corpus_size}"
         )
     segments: list[DataSegment] = []
-
-    def add(name: str, increment: int, offset: int, length: int) -> None:
-        segments.append(
-            DataSegment(
-                segment_id=name,
-                increment_index=increment,
-                start_offset=offset,
-                length=length,
-                sampling_seed=derive_seed(spec.seed, name),
-            )
-        )
-
     cursor = start_offset
     for i, t in enumerate(spec.increments, start=1):
         need = t * tokens_per_step
         if alpha is None:
-            add(f"inc{i}/full", i, cursor, need)
+            segments.append(DataSegment(f"inc{i}/full", cursor, need))
         else:
-            m = _main_prefix_steps(alpha, t)
-            prefix = m * tokens_per_step
+            prefix = _main_prefix_steps(alpha, t) * tokens_per_step
             if prefix:
-                add(f"inc{i}/prefix", i, cursor, prefix)
+                segments.append(DataSegment(f"inc{i}/prefix", cursor, prefix))
             if need - prefix:
-                add(f"inc{i}/remainder", i, cursor + prefix, need - prefix)
+                segments.append(DataSegment(f"inc{i}/remainder", cursor + prefix, need - prefix))
         cursor += need
     return segments
 
@@ -149,7 +133,7 @@ def resolve_init(m: Manifest, phase: Phase) -> Optional[CheckpointRecord]:
 
 def manifest_to_dict(m: Manifest) -> dict:
     return {
-        "format_version": m.format_version,
+        "format_version": MANIFEST_FORMAT_VERSION,
         "spec": spec_to_dict(m.spec),
         "segments": [dataclasses.asdict(s) for s in m.segments],
         "records": [dataclasses.asdict(r) for r in m.records],
@@ -168,7 +152,6 @@ def manifest_from_dict(d: dict) -> Manifest:
         spec=spec_from_dict(d["spec"]),
         records=[CheckpointRecord(**r) for r in d["records"]],
         segments=[DataSegment(**s) for s in d["segments"]],
-        format_version=d["format_version"],
     )
 
 

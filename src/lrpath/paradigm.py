@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -34,7 +34,7 @@ from .schedule import (
     validate_config,
 )
 
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 
 
 class PathKind(str, Enum):
@@ -145,21 +145,19 @@ class SegmentRef:
 
 @dataclass(frozen=True)
 class ScheduleProfile:
-    """LR given by a schedule evaluated at offset + local step.
+    """LR given by a schedule evaluated at the local step.
 
     With `hold_min`, steps past the horizon hold eta_min instead of being
     out of range (a probe cycle that ends before its phase does).
     """
 
     config: ScheduleConfig
-    offset: int = 0
     hold_min: bool = False
 
     def lr(self, local_step: int) -> float:
-        step = self.offset + local_step
-        if self.hold_min and step > self.config.horizon:
+        if self.hold_min and local_step > self.config.horizon:
             return self.config.eta_min
-        return lr_at(self.config, step)
+        return lr_at(self.config, local_step)
 
 
 @dataclass(frozen=True)
@@ -374,7 +372,7 @@ def build_two_stage_probe(
     Stage 1 trains from scratch under a cosine schedule with cycle length
     `first_cycle` and checkpoints at `fork_step`; stage 2 resumes from that
     checkpoint for `second_len` steps under a cosine cycle of
-    `second_cycle`, starting at offset 0 with no warmup.  Stage 1 consumes
+    `second_cycle`, starting at step 0 with no warmup.  Stage 1 consumes
     the first data increment, stage 2 the second.
     """
     if fork_step < 1 or second_len < 1:
@@ -474,7 +472,7 @@ def validate_plan(plan: TrainingPlan) -> None:
                 raise PlanViolation(pid, "decay length differs from num_steps")
         elif not profile.hold_min:
             h = profile.config.horizon
-            if h != INFINITE and profile.offset + phase.num_steps - 1 > h:
+            if h != INFINITE and phase.num_steps - 1 > h:
                 raise PlanViolation(pid, "schedule horizon shorter than phase")
         if len(set(phase.data_segments)) != len(phase.data_segments):
             raise PlanViolation(pid, "duplicate data segment within phase")
@@ -561,7 +559,6 @@ def _profile_to_dict(profile: LRProfile) -> dict:
     return {
         "type": "schedule",
         "config": sched.config_to_dict(profile.config),
-        "offset": profile.offset,
         "hold_min": profile.hold_min,
     }
 
@@ -571,7 +568,7 @@ def _profile_from_dict(d: dict) -> LRProfile:
     if d["type"] == "decay":
         return DecayProfile(cfg, int(d["length"]))
     if d["type"] == "schedule":
-        return ScheduleProfile(cfg, int(d["offset"]), bool(d["hold_min"]))
+        return ScheduleProfile(cfg, bool(d["hold_min"]))
     raise SchemaMismatch(f"unknown lr profile type {d['type']!r}")
 
 
@@ -605,24 +602,27 @@ def plan_from_dict(d: dict) -> TrainingPlan:
         raise SchemaMismatch(
             f"unsupported plan format_version {d.get('format_version')!r}"
         )
-    phases = tuple(
-        Phase(
-            phase_id=p["phase_id"],
-            version=int(p["version"]),
-            path=PathKind(p["path"]),
-            init_from=p["init_from"],
-            num_steps=int(p["num_steps"]),
-            lr_profile=_profile_from_dict(p["lr"]),
-            data_segments=tuple(
-                SegmentRef(int(r.split("/")[0][3:]), r.split("/")[1])
-                for r in p["data_segments"]
-            ),
-            emits_version_checkpoint=bool(p["emits_version_checkpoint"]),
+    try:
+        phases = tuple(
+            Phase(
+                phase_id=p["phase_id"],
+                version=int(p["version"]),
+                path=PathKind(p["path"]),
+                init_from=p["init_from"],
+                num_steps=int(p["num_steps"]),
+                lr_profile=_profile_from_dict(p["lr"]),
+                data_segments=tuple(
+                    SegmentRef(int(r.split("/")[0][3:]), r.split("/")[1])
+                    for r in p["data_segments"]
+                ),
+                emits_version_checkpoint=bool(p["emits_version_checkpoint"]),
+            )
+            for p in d["phases"]
         )
-        for p in d["phases"]
-    )
-    return TrainingPlan(
-        paradigm=paradigm_from_dict(d["paradigm"]),
-        spec=spec_from_dict(d["spec"]),
-        phases=phases,
-    )
+        return TrainingPlan(
+            paradigm=paradigm_from_dict(d["paradigm"]),
+            spec=spec_from_dict(d["spec"]),
+            phases=phases,
+        )
+    except (LookupError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed plan document: {exc!r}") from exc

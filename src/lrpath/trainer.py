@@ -23,7 +23,6 @@ from .errors import (
     InvalidConfig,
     NonFiniteUpdate,
     ShapeMismatch,
-    StaleCache,
 )
 from .lineage import (
     CheckpointRecord,
@@ -36,7 +35,9 @@ from .lineage import (
 )
 from .paradigm import Phase, TrainingPlan, plan_cost, validate_plan
 
-PARAM_NAMES = ("embed", "w1", "b1", "w2", "b2")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.95
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,6 @@ class ModelState:
 
     config: ToyModelConfig
     flat: np.ndarray
-    rng_seed: int
     params: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -97,7 +97,7 @@ class ModelState:
         self.params = _views(self.flat, self.config)
 
     def copy(self) -> "ModelState":
-        return ModelState(self.config, self.flat.copy(), self.rng_seed)
+        return ModelState(self.config, self.flat.copy())
 
 
 @dataclass
@@ -106,17 +106,10 @@ class AdamState:
 
     m_flat: np.ndarray
     v_flat: np.ndarray
-    config: ToyModelConfig
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
 
     def copy(self) -> "AdamState":
-        return AdamState(
-            self.m_flat.copy(), self.v_flat.copy(), self.config,
-            self.t, self.beta1, self.beta2, self.eps,
-        )
+        return AdamState(self.m_flat.copy(), self.v_flat.copy(), self.t)
 
 
 @dataclass(frozen=True)
@@ -134,15 +127,12 @@ def init_model(cfg: ToyModelConfig, seed: int) -> ModelState:
             chunks.append(np.zeros(math.prod(shape)))
         else:
             chunks.append(rng.normal(0.0, 0.02, size=math.prod(shape)))
-    return ModelState(cfg, np.concatenate(chunks), seed)
+    return ModelState(cfg, np.concatenate(chunks))
 
 
-def init_adam(model: ModelState, beta1: float = 0.9, beta2: float = 0.95, eps: float = 1e-8) -> AdamState:
+def init_adam(model: ModelState) -> AdamState:
     n = model.flat.size
-    return AdamState(
-        m_flat=np.zeros(n), v_flat=np.zeros(n), config=model.config,
-        t=0, beta1=beta1, beta2=beta2, eps=eps,
-    )
+    return AdamState(m_flat=np.zeros(n), v_flat=np.zeros(n))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +243,7 @@ def forward_loss(model: ModelState, batch: np.ndarray) -> tuple[float, dict]:
     loss = float(nll.mean())
 
     probs = np.exp(shifted - lse[:, None])
-    cache = {"x": x, "y": y, "h0": h0, "h1": h1, "probs": probs, "param_id": id(p)}
+    cache = {"x": x, "y": y, "h0": h0, "h1": h1, "probs": probs}
     return loss, cache
 
 
@@ -262,11 +252,11 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact analytic gradients of the mean cross-entropy.
 
-    With `out_flat` given, gradients are written into that flat buffer and
-    the returned dict holds views into it (the trainer's hot path).
+    `cache` must come from `forward_loss` on this model with its current
+    parameters.  With `out_flat` given, gradients are written into that
+    flat buffer and the returned dict holds views into it (the trainer's
+    hot path).
     """
-    if cache.get("param_id") != id(model.params):
-        raise StaleCache("cache was produced by a different model state")
     cfg = model.config
     p = model.params
     x, y, h0, h1, probs = cache["x"], cache["y"], cache["h0"], cache["h1"], cache["probs"]
@@ -298,34 +288,21 @@ def backward(
     return grads
 
 
-def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr, beta1, beta2, eps) -> None:
-    m_flat *= beta1
-    m_flat += (1.0 - beta1) * g_flat
-    v_flat *= beta2
-    v_flat += (1.0 - beta2) * (g_flat * g_flat)
-    update = (m_flat / (1.0 - beta1**t)) / (np.sqrt(v_flat / (1.0 - beta2**t)) + eps)
+def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr) -> None:
+    """Bias-corrected Adam step `t` (1-based), in place on p, m and v.
+
+    A NaN or Inf gradient makes the update non-finite, so it raises here.
+    """
+    m_flat *= ADAM_BETA1
+    m_flat += (1.0 - ADAM_BETA1) * g_flat
+    v_flat *= ADAM_BETA2
+    v_flat += (1.0 - ADAM_BETA2) * (g_flat * g_flat)
+    update = (m_flat / (1.0 - ADAM_BETA1**t)) / (
+        np.sqrt(v_flat / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+    )
     if not np.all(np.isfinite(update)):
         raise NonFiniteUpdate("non-finite Adam update")
     p_flat -= lr * update
-
-
-def adam_step(
-    model: ModelState, adam: AdamState, grads: dict[str, np.ndarray], lr: float
-) -> tuple[ModelState, AdamState]:
-    """Bias-corrected Adam update; returns fresh (model, adam) states."""
-    g_flat = np.concatenate(
-        [grads[name].ravel() for name, _ in _param_shapes(model.config)]
-    )
-    if not np.all(np.isfinite(g_flat)):
-        raise NonFiniteUpdate("non-finite gradient")
-    new_model = model.copy()
-    new_adam = adam.copy()
-    new_adam.t += 1
-    _adam_apply(
-        new_model.flat, new_adam.m_flat, new_adam.v_flat, new_adam.t, g_flat, lr,
-        new_adam.beta1, new_adam.beta2, new_adam.eps,
-    )
-    return new_model, new_adam
 
 
 def train_phase(
@@ -338,12 +315,13 @@ def train_phase(
 ) -> tuple[ModelState, AdamState, list[tuple[int, float, float]]]:
     """Run exactly phase.num_steps steps; returns (model', adam', trace).
 
-    The batch stream is seeded by (run_seed, phase_id), so reruns are
-    bit-deterministic.  `data` is the concatenated token array of the
-    phase's segments.
+    The inputs are left unchanged, so several phases can fork from one
+    parent state.  The batch stream is seeded by (run_seed, phase_id), so
+    reruns are bit-deterministic.  `data` is the concatenated token array
+    of the phase's segments.
     """
     if phase.num_steps < 1:
-        raise DataExhausted("phase must have at least one step")
+        raise DataExhausted(f"phase {phase.phase_id}: must have at least one step")
     cfg = model.config
     width = cfg.context_len + 1
     if len(data) < width:
@@ -361,10 +339,10 @@ def train_phase(
         loss, cache = forward_loss(model, batch)
         backward(model, cache, out_flat=g_flat)
         adam.t += 1
-        _adam_apply(
-            model.flat, adam.m_flat, adam.v_flat, adam.t, g_flat, lr,
-            adam.beta1, adam.beta2, adam.eps,
-        )
+        try:
+            _adam_apply(model.flat, adam.m_flat, adam.v_flat, adam.t, g_flat, lr)
+        except NonFiniteUpdate as exc:
+            raise NonFiniteUpdate(f"phase {phase.phase_id}, step {s}: {exc}") from exc
         if s % log_stride == 0 or s == phase.num_steps - 1:
             trace.append((s, lr, loss))
     return model, adam, trace

@@ -205,6 +205,13 @@ class TestManifestSerialization:
         doc["format_version"] = 99
         with pytest.raises(SchemaMismatch):
             manifest_from_dict(doc)
+        # a v1 manifest: segments also carry increment_index and sampling_seed
+        doc["format_version"] = 1
+        for seg in doc["segments"]:
+            seg["increment_index"] = int(seg["segment_id"].split("/")[0][3:])
+            seg["sampling_seed"] = derive_seed(doc["spec"]["seed"], seg["segment_id"])
+        with pytest.raises(SchemaMismatch, match="format_version 1"):
+            manifest_from_dict(doc)
 
     def test_missing_field(self):
         rng = np.random.default_rng(9)

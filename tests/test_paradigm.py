@@ -314,17 +314,38 @@ class TestSerialization:
         assert plan.phases[1].lr_profile.hold_min == (second_cycle == 200)
         assert plan_from_dict(json.loads(plan_to_json(plan))) == plan
 
-    @pytest.mark.parametrize("version", [None, 1, 3])
+    @pytest.mark.parametrize("version", [None, 1, 2, 4])
     def test_other_format_version_rejected(self, version):
-        # a v1 document: no format_version, branches as per-step "series"
         plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
         doc = plan_to_dict(plan)
         del doc["format_version"]
-        branch = next(p for p in doc["phases"] if p["path"] == "branch")
-        branch["lr"] = {"type": "series", "points": [[s, 3e-4] for s in range(branch["num_steps"])]}
+        if version == 2:
+            # a v2 document: schedule profiles carry an "offset"
+            for p in doc["phases"]:
+                if p["lr"]["type"] == "schedule":
+                    p["lr"]["offset"] = 0
+        else:
+            # a v1 document: no format_version, branches as per-step "series"
+            branch = next(p for p in doc["phases"] if p["path"] == "branch")
+            branch["lr"] = {"type": "series", "points": [[s, 3e-4] for s in range(branch["num_steps"])]}
         if version is not None:
             doc["format_version"] = version
         with pytest.raises(SchemaMismatch, match=f"format_version {version!r}"):
+            plan_from_dict(doc)
+
+    @pytest.mark.parametrize("fault", ["no_phases", "bad_segment", "bad_path", "segment_without_part"])
+    def test_malformed_document_rejected(self, fault):
+        plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+        doc = plan_to_dict(plan)
+        if fault == "no_phases":
+            del doc["phases"]
+        elif fault == "bad_segment":
+            doc["phases"][0]["data_segments"] = ["bogus"]
+        elif fault == "bad_path":
+            doc["phases"][0]["path"] = "sideways"
+        else:
+            doc["phases"][0]["data_segments"] = ["inc1"]
+        with pytest.raises(SchemaMismatch, match="malformed plan document"):
             plan_from_dict(doc)
 
     @pytest.mark.parametrize("steps", [100, 100_000])
@@ -336,7 +357,8 @@ class TestSerialization:
         plan = build_plan(Paradigm.ptfs(), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
         doc = json.loads(plan_to_json(plan))
         assert list(doc) == ["format_version", "paradigm", "spec", "phases"]
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
+        assert list(doc["phases"][0]["lr"]) == ["type", "config", "hold_min"]
         assert list(doc["phases"][0]) == [
             "phase_id",
             "version",

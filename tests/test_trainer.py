@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lrpath.errors import EmptyEval, InvalidConfig, ShapeMismatch
+from lrpath.errors import DataExhausted, EmptyEval, InvalidConfig, NonFiniteUpdate, ShapeMismatch
 from lrpath.lineage import derive_seed
 from lrpath.paradigm import Paradigm, build_plan, uniform_spec
-from lrpath.schedule import ScheduleConfig, ScheduleKind
+from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
 from lrpath.trainer import (
-    AdamState,
-    ModelState,
+    ADAM_EPS,
     ToyModelConfig,
-    adam_step,
+    _adam_apply,
     backward,
     evaluate_ppl,
     forward_loss,
@@ -93,44 +92,37 @@ class TestForwardBackward:
                 assert abs(numeric - flatg[i]) / denom < 1e-4, (name, i)
 
 
+def adam_first_step(g: float, lr: float):
+    """Adam step 1 with a constant gradient g on copies of a fresh state.
+
+    Returns (params before, params after, first moment after).
+    """
+    model = init_model(TINY, seed=0)
+    adam = init_adam(model)
+    p, m, v = model.flat.copy(), adam.m_flat.copy(), adam.v_flat.copy()
+    _adam_apply(p, m, v, 1, np.full_like(p, g), lr)
+    return model.flat, p, m
+
+
 class TestAdam:
     def test_zero_grad_no_motion(self):
-        model = init_model(TINY, seed=0)
-        adam = init_adam(model)
-        zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
-        new_model, _ = adam_step(model, adam, zeros, lr=1e-3)
-        np.testing.assert_array_equal(new_model.flat, model.flat)
+        before, after, _ = adam_first_step(0.0, lr=1e-3)
+        np.testing.assert_array_equal(after, before)
 
     def test_zero_lr_no_motion_but_state_moves(self):
-        model = init_model(TINY, seed=0)
-        adam = init_adam(model)
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        new_model, new_adam = adam_step(model, adam, grads, lr=0.0)
-        np.testing.assert_array_equal(new_model.flat, model.flat)
-        assert new_adam.t == 1
-        assert np.any(new_adam.m_flat != 0.0)
+        before, after, m = adam_first_step(1.0, lr=0.0)
+        np.testing.assert_array_equal(after, before)
+        assert np.any(m != 0.0)
 
     def test_first_step_closed_form(self):
         # with constant gradient g, step 1 moves by -lr * g/(|g| + eps*sqrt(1-b2))
-        model = init_model(TINY, seed=0)
-        adam = init_adam(model)
         g = 0.25
-        grads = {k: np.full_like(v, g) for k, v in model.params.items()}
         lr = 1e-3
-        new_model, _ = adam_step(model, adam, grads, lr=lr)
+        before, after, _ = adam_first_step(g, lr=lr)
         mhat = g
         vhat = g * g
-        expected = -lr * mhat / (math.sqrt(vhat) + adam.eps)
-        np.testing.assert_allclose(new_model.flat - model.flat, expected, rtol=1e-12)
-
-    def test_functional_purity(self):
-        model = init_model(TINY, seed=0)
-        adam = init_adam(model)
-        before = model.flat.copy()
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        adam_step(model, adam, grads, lr=1e-2)
-        np.testing.assert_array_equal(model.flat, before)
-        assert adam.t == 0
+        expected = -lr * mhat / (math.sqrt(vhat) + ADAM_EPS)
+        np.testing.assert_allclose(after - before, expected, rtol=1e-12)
 
 
 SCHED = ScheduleConfig(ScheduleKind.COSINE, 1e-3, 1e-4, 5, 40)
@@ -153,6 +145,36 @@ class TestTrainPhase:
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
         assert results[0][2] == results[1][2]
+
+    def test_inputs_unchanged(self):
+        # path switching forks a branch and a continuation from one state
+        phase = self.plan().phases[0]
+        data = make_corpus(5, 40 * 64 + TINY.context_len + 1) % TINY.vocab_size
+        model = init_model(TINY, seed=12)
+        adam = init_adam(model)
+        flat, m, v, t = model.flat.copy(), adam.m_flat.copy(), adam.v_flat.copy(), adam.t
+        out_model, out_adam, _ = train_phase(model, adam, phase, data, run_seed=12)
+        np.testing.assert_array_equal(model.flat, flat)
+        np.testing.assert_array_equal(adam.m_flat, m)
+        np.testing.assert_array_equal(adam.v_flat, v)
+        assert adam.t == t
+        assert out_adam.t == adam.t + phase.num_steps
+        assert not np.array_equal(out_model.flat, flat)
+
+    def test_non_finite_update_names_phase_and_step(self):
+        cfg = ScheduleConfig(ScheduleKind.CONSTANT, 1e300, 1e300, 0, INFINITE)
+        phase = build_plan(Paradigm.ptfs(), uniform_spec(1, 40, cfg, seed=12)).phases[0]
+        data = make_corpus(5, 40 * 64 + TINY.context_len + 1) % TINY.vocab_size
+        model = init_model(TINY, seed=12)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdate, match=r"phase v1-scratch, step \d+"):
+            train_phase(model, init_adam(model), phase, data, run_seed=12)
+
+    def test_data_shorter_than_window(self):
+        phase = self.plan().phases[0]
+        data = make_corpus(5, TINY.context_len) % TINY.vocab_size
+        model = init_model(TINY, seed=12)
+        with pytest.raises(DataExhausted, match="phase v1-scratch"):
+            train_phase(model, init_adam(model), phase, data, run_seed=12)
 
     def test_trace_lrs_match_schedule(self):
         plan = self.plan()
