@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import cost as cost_mod
 from . import schedule as sched
-from .errors import LrPathError
+from .errors import InvalidSpec, LrPathError
 from .paradigm import (
     CptVariant,
     Paradigm,
@@ -34,27 +33,40 @@ EXIT_USAGE = 2
 def _parse_horizon(text: str) -> float:
     if text.lower() in ("inf", "infinite", "+inf"):
         return INFINITE
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or inf, got {text!r}") from None
+
+
+def _parse_steps(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or a comma list of integers, got {text!r}"
+        ) from None
 
 
 def parse_paradigm(text: str) -> Paradigm:
-    """Parse CLI paradigm labels: ptfs, cpt:<variant>, path_switch:<alpha>."""
+    """Parse CLI paradigm labels: ptfs, cpt:<variant>, path_switch:<alpha>.
+
+    Raises InvalidSpec for any other label.
+    """
     name, _, arg = text.partition(":")
     name = name.replace("-", "_")
     if name == "ptfs":
         return Paradigm.ptfs()
-    if name == "cpt":
-        variant = CptVariant(arg.replace("-", "_")) if arg else CptVariant.RESET_MAX
-        return Paradigm.cpt(variant)
-    if name == "path_switch":
-        if not arg:
-            raise ValueError("path_switch requires an alpha, e.g. path_switch:0.6")
-        return Paradigm.path_switch(float(arg))
-    raise ValueError(f"unknown paradigm {text!r}")
-
-
-def _default_out_dir() -> str:
-    return os.environ.get("LRPATH_OUT", ".")
+    if name == "path_switch" and not arg:
+        raise InvalidSpec("path_switch requires an alpha, e.g. path_switch:0.6")
+    try:
+        if name == "cpt":
+            return Paradigm.cpt(CptVariant(arg.replace("-", "_") or CptVariant.RESET_MAX))
+        if name == "path_switch":
+            return Paradigm.path_switch(float(arg))
+    except ValueError as exc:
+        raise InvalidSpec(f"paradigm {text!r}: {exc}") from exc
+    raise InvalidSpec(f"unknown paradigm {text!r}")
 
 
 def _schedule_from_args(args) -> ScheduleConfig:
@@ -63,8 +75,19 @@ def _schedule_from_args(args) -> ScheduleConfig:
         eta_max=args.max_lr,
         eta_min=args.min_lr,
         warmup_steps=args.warmup,
-        horizon=_parse_horizon(args.horizon),
+        horizon=args.horizon,
     )
+
+
+def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    """Rows as CSV, or as a text table with left-aligned columns."""
+    lines = [header, *rows]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    text = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in lines]
+    text.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(text) + "\n"
 
 
 def cmd_schedule(args) -> int:
@@ -85,25 +108,31 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    kinds = [
-        Paradigm.ptfs(),
-        Paradigm.cpt(),
-        Paradigm.path_switch(args.alpha),
+    n, t = args.versions, args.steps
+    rows = [
+        [
+            kind.label,
+            str(n),
+            str(t),
+            str(cost_mod.paradigm_cost(kind, n, t)),
+            f"{cost_mod.relative_cost(kind, n, t):.2f}",
+        ]
+        for kind in (Paradigm.ptfs(), Paradigm.cpt(), Paradigm.path_switch(args.alpha))
     ]
-    reports = [cost_mod.cost_report(k, args.versions, args.steps) for k in kinds]
-    sys.stdout.write(cost_mod.render_table(reports, fmt=args.format))
+    header = ["paradigm", "N_v", "T", "steps", "relative"]
+    sys.stdout.write(_render_table(header, rows, args.format))
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
     kind = parse_paradigm(args.paradigm)
     cfg = _schedule_from_args(args)
-    steps = [int(s) for s in args.steps.split(",")]
+    steps = args.steps
     if len(steps) == 1:
         steps = steps * args.versions
     spec = UpdateSpec(
         num_versions=args.versions,
-        increments=tuple(steps),
+        increments=steps,
         base_schedule=cfg,
         seed=args.seed,
     )
@@ -146,7 +175,6 @@ def cmd_run(args) -> int:
             num_versions=int(cfg["num_versions"]),
             increments=tuple(int(s) for s in steps),
             base_schedule=schedule_cfg,
-            seed=int(cfg.get("seed", 0)),
         )
         run_cfg = RunConfig(
             model=ToyModelConfig(**cfg.get("model", {})),
@@ -156,7 +184,7 @@ def cmd_run(args) -> int:
             log_stride=int(cfg.get("log_stride", 100)),
         )
         seeds = [int(s) for s in cfg.get("seeds", [0])]
-        out_dir = Path(args.out or cfg.get("out_dir") or _default_out_dir())
+        out_dir = Path(args.out)
         if run_cfg.corpus_file and not Path(run_cfg.corpus_file).exists():
             raise ValueError(f"corpus file {run_cfg.corpus_file!r} does not exist")
         plans = [(p.label, build_plan(p, spec)) for p in paradigms]
@@ -198,30 +226,24 @@ def cmd_compare(args) -> int:
                 merged[doc["paradigm"]] = doc
             else:
                 merged.update(doc)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        versions = sorted(
+            {int(v) for doc in merged.values() for v in doc["versions"]}
+        )
+        rows = []
+        for label in sorted(merged):
+            doc = merged[label]
+            row = [label, str(doc["total_steps"])]
+            for v in versions:
+                entry = doc["versions"].get(str(v))
+                row.append(f"{entry['mean_ppl']:.3f}" if entry else "-")
+            rows.append(row)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        # a JSON document of another shape fails anywhere in the lookups
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    versions = sorted(
-        {int(v) for doc in merged.values() for v in doc["versions"]}
-    )
     header = ["paradigm", "steps"] + [f"V{v}" for v in versions]
-    rows = []
-    for label in sorted(merged):
-        doc = merged[label]
-        row = [label, str(doc["total_steps"])]
-        for v in versions:
-            entry = doc["versions"].get(str(v))
-            row.append(f"{entry['mean_ppl']:.3f}" if entry else "-")
-        rows.append(row)
-    if args.format == "csv":
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-    else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-        lines.append("  ".join("-" * w for w in widths))
-        lines.extend("  ".join(c.ljust(widths[i]) for i, c in enumerate(r)) for r in rows)
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(_render_table(header, rows, args.format))
     return EXIT_OK
 
 
@@ -237,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-lr", type=float, default=3e-4)
         p.add_argument("--min-lr", type=float, default=3e-5)
         p.add_argument("--warmup", type=int, default=2000)
-        p.add_argument("--horizon", default="10000")
+        p.add_argument("--horizon", type=_parse_horizon, default="10000")
 
     p = sub.add_parser("schedule", help="dump an LR curve as CSV")
     add_schedule_flags(p)
@@ -257,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="compile a training plan to JSON")
     p.add_argument("--paradigm", required=True)
     p.add_argument("--versions", type=int, required=True)
-    p.add_argument("--steps", required=True, help="steps per version, or comma list")
+    p.add_argument(
+        "--steps", type=_parse_steps, required=True, help="steps per version, or comma list"
+    )
     p.add_argument("--seed", type=int, default=0)
     add_schedule_flags(p)
     p.add_argument("--out", default=None)
@@ -265,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute experiments from a JSON config")
     p.add_argument("config")
-    p.add_argument("--out", default=None, help="output dir (default: config, then $LRPATH_OUT)")
+    p.add_argument("--out", default=".", help="output directory (default: the current one)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_run)
 

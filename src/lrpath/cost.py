@@ -1,4 +1,4 @@
-"""Closed-form training-cost functions and relative-cost reporting.
+"""Closed-form training-cost functions and costs relative to PTFS.
 
 Costs count optimizer steps (warmup steps included) and are independent
 of plan construction, so they double as a cross-check for compiled plans.
@@ -6,20 +6,8 @@ of plan construction, so they double as a cross-check for compiled plans.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
-
 from .errors import InvalidArgument
 from .paradigm import Paradigm
-
-
-@dataclass(frozen=True)
-class CostReport:
-    paradigm: Paradigm
-    n_versions: int
-    unit_steps: int
-    absolute_steps: int
-    relative_to_ptfs: float
 
 
 def paradigm_cost(kind: Paradigm, n: int, t: int) -> int:
@@ -45,42 +33,3 @@ def paradigm_cost(kind: Paradigm, n: int, t: int) -> int:
 def relative_cost(kind: Paradigm, n: int, t: int) -> float:
     """Cost as a fraction of PTFS for the same scenario; PTFS -> 1.0."""
     return paradigm_cost(kind, n, t) / paradigm_cost(Paradigm.ptfs(), n, t)
-
-
-def cost_report(kind: Paradigm, n: int, t: int) -> CostReport:
-    return CostReport(
-        paradigm=kind,
-        n_versions=n,
-        unit_steps=t,
-        absolute_steps=paradigm_cost(kind, n, t),
-        relative_to_ptfs=relative_cost(kind, n, t),
-    )
-
-
-def render_table(reports: list[CostReport], fmt: str = "text") -> str:
-    """Render cost reports as an aligned text table or CSV."""
-    header = ["paradigm", "N_v", "T", "steps", "relative"]
-    rows = [
-        [
-            r.paradigm.label,
-            str(r.n_versions),
-            str(r.unit_steps),
-            str(r.absolute_steps),
-            f"{r.relative_to_ptfs:.2f}",
-        ]
-        for r in reports
-    ]
-    if fmt == "csv":
-        out = io.StringIO()
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
-    return "\n".join(lines) + "\n"

@@ -40,22 +40,6 @@ class InvalidArgument(LrPathError):
 
 
 # lineage
-class CorpusExhausted(LrPathError):
-    pass
-
-
-class DanglingReference(LrPathError):
-    pass
-
-
-class DuplicateId(LrPathError):
-    pass
-
-
-class MissingCheckpoint(LrPathError):
-    pass
-
-
 class SchemaMismatch(LrPathError):
     pass
 

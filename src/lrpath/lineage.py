@@ -17,21 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CorpusExhausted,
-    DanglingReference,
-    DuplicateId,
-    MissingCheckpoint,
-    SchemaMismatch,
-)
-from .paradigm import (
-    Phase,
-    UpdateSpec,
-    _main_prefix_steps,
-    spec_from_dict,
-    spec_to_dict,
-    validate_spec,
-)
+from .errors import SchemaMismatch
+from .paradigm import UpdateSpec, _main_prefix_steps, spec_from_dict, spec_to_dict
 
 MANIFEST_FORMAT_VERSION = 2
 PAYLOAD_MAGIC = b"LRPC"
@@ -72,7 +59,6 @@ class Manifest:
 
 def allocate_segments(
     spec: UpdateSpec,
-    corpus_size: int,
     tokens_per_step: int,
     alpha: Optional[float] = None,
     start_offset: int = 0,
@@ -81,15 +67,9 @@ def allocate_segments(
 
     With `alpha` set (path switching), each increment splits at the fork
     boundary into a main-prefix segment and a decay-remainder segment.
+    `spec` is one that `validate_plan` has accepted; the segments cover
+    exactly `sum(spec.increments) * tokens_per_step` tokens.
     """
-    validate_spec(spec)
-    if tokens_per_step < 1:
-        raise CorpusExhausted(f"tokens_per_step must be >= 1, got {tokens_per_step}")
-    demand = sum(spec.increments) * tokens_per_step
-    if demand > corpus_size:
-        raise CorpusExhausted(
-            f"need {demand} tokens but corpus holds {corpus_size}"
-        )
     segments: list[DataSegment] = []
     cursor = start_offset
     for i, t in enumerate(spec.increments, start=1):
@@ -106,28 +86,6 @@ def allocate_segments(
     return segments
 
 
-def record_checkpoint(m: Manifest, rec: CheckpointRecord) -> Manifest:
-    """Append a record, preserving referential integrity."""
-    if any(r.ckpt_id == rec.ckpt_id for r in m.records):
-        raise DuplicateId(rec.ckpt_id)
-    if rec.parent is not None and not any(r.ckpt_id == rec.parent for r in m.records):
-        raise DanglingReference(f"{rec.ckpt_id}: unknown parent {rec.parent!r}")
-    m.records.append(rec)
-    return m
-
-
-def resolve_init(m: Manifest, phase: Phase) -> Optional[CheckpointRecord]:
-    """The checkpoint a phase initializes from, or None for a fresh init."""
-    if phase.init_from is None:
-        return None
-    for rec in reversed(m.records):
-        if rec.phase_id == phase.init_from:
-            return rec
-    raise MissingCheckpoint(
-        f"{phase.phase_id}: no checkpoint recorded for phase {phase.init_from!r}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # manifest persistence
 
@@ -141,18 +99,34 @@ def manifest_to_dict(m: Manifest) -> dict:
 
 
 def manifest_from_dict(d: dict) -> Manifest:
+    """Read a manifest document; its records must form a lineage.
+
+    Every record names a new `ckpt_id` and a `parent` that is None or an
+    earlier record, the order `run_single` writes them in.
+    """
     if d.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise SchemaMismatch(
             f"unsupported manifest format_version {d.get('format_version')!r}"
         )
-    missing = {"spec", "records", "segments"} - d.keys()
-    if missing:
-        raise SchemaMismatch(f"manifest missing fields: {sorted(missing)}")
-    return Manifest(
-        spec=spec_from_dict(d["spec"]),
-        records=[CheckpointRecord(**r) for r in d["records"]],
-        segments=[DataSegment(**s) for s in d["segments"]],
-    )
+    try:
+        m = Manifest(
+            spec=spec_from_dict(d["spec"]),
+            records=[CheckpointRecord(**r) for r in d["records"]],
+            segments=[DataSegment(**s) for s in d["segments"]],
+        )
+        seen: set[str] = set()
+        for rec in m.records:
+            if rec.ckpt_id in seen:
+                raise SchemaMismatch(f"manifest repeats checkpoint {rec.ckpt_id!r}")
+            if rec.parent is not None and rec.parent not in seen:
+                raise SchemaMismatch(
+                    f"{rec.ckpt_id}: parent {rec.parent!r} is not an earlier record"
+                )
+            seen.add(rec.ckpt_id)
+    except (LookupError, TypeError, ValueError) as exc:
+        # TypeError also covers an unhashable id in the lineage check
+        raise SchemaMismatch(f"malformed manifest document: {exc!r}") from exc
+    return m
 
 
 def save_manifest(m: Manifest, path) -> None:
@@ -167,10 +141,7 @@ def load_manifest(path) -> Manifest:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaMismatch(f"manifest is not valid JSON: {exc}") from exc
-    try:
-        return manifest_from_dict(d)
-    except (KeyError, TypeError) as exc:
-        raise SchemaMismatch(f"manifest is missing fields: {exc}") from exc
+    return manifest_from_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -450,7 +450,13 @@ def _ancestors(plan: TrainingPlan, phase: Phase) -> list[Phase]:
 
 
 def validate_plan(plan: TrainingPlan) -> None:
-    """Check structural plan invariants; raise PlanViolation on the first."""
+    """The one gate between a plan and a run.
+
+    Raises InvalidSpec for a bad scenario, then PlanViolation for the
+    first broken structural invariant.  A plan that passes has unique
+    phase ids, and each `init_from` names an earlier phase.
+    """
+    validate_spec(plan.spec)
     seen: set[str] = set()
     emitted: dict[int, str] = {}
     eta_max = plan.spec.base_schedule.eta_max

@@ -29,7 +29,6 @@ from .lineage import (
     Manifest,
     allocate_segments,
     derive_seed,
-    record_checkpoint,
     save_manifest,
     save_payload,
 )
@@ -376,6 +375,17 @@ class RunConfig:
     corpus_file: Optional[str] = None
     log_stride: int = 100
 
+    def __post_init__(self):
+        for name in ("tokens_per_step", "log_stride"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be positive")
+        window = self.model.context_len + 1
+        if self.heldout_tokens < window:
+            raise InvalidConfig(
+                f"heldout_tokens ({self.heldout_tokens}) must hold one "
+                f"evaluation window ({window} tokens)"
+            )
+
 
 @dataclass
 class ExperimentReport:
@@ -398,10 +408,6 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _corpus_tokens(plan: TrainingPlan, run_cfg: RunConfig) -> int:
-    return run_cfg.heldout_tokens + sum(plan.spec.increments) * run_cfg.tokens_per_step
-
-
 def run_single(
     plan: TrainingPlan,
     run_cfg: RunConfig,
@@ -416,15 +422,14 @@ def run_single(
     """
     validate_plan(plan)
     spec = plan.spec.replace(seed=seed)
-    total = _corpus_tokens(plan, run_cfg)
-    corpus = make_corpus(seed, total, run_cfg.corpus_file)
+    size = run_cfg.heldout_tokens + sum(plan.spec.increments) * run_cfg.tokens_per_step
+    corpus = make_corpus(seed, size, run_cfg.corpus_file)
     if run_cfg.model.vocab_size < 256:
         corpus = corpus % run_cfg.model.vocab_size
     heldout = corpus[: run_cfg.heldout_tokens]
     alpha = plan.paradigm.alpha if plan.paradigm.family == "path_switch" else None
     segments = allocate_segments(
         spec,
-        corpus_size=total - run_cfg.heldout_tokens,
         tokens_per_step=run_cfg.tokens_per_step,
         alpha=alpha,
         start_offset=run_cfg.heldout_tokens,
@@ -468,8 +473,7 @@ def run_single(
 
         ckpt_id = f"{phase.phase_id}#final"
         payload_file = f"ckpt/{ckpt_id.replace('#', '_')}.bin"
-        record_checkpoint(
-            manifest,
+        manifest.records.append(
             CheckpointRecord(
                 ckpt_id=ckpt_id,
                 phase_id=phase.phase_id,
@@ -479,7 +483,7 @@ def run_single(
                 global_step=gstep,
                 metrics=dataclasses.asdict(report) if report else None,
                 payload_file=payload_file,
-            ),
+            )
         )
         if out_dir is not None:
             save_payload(out_dir / payload_file, model.flat, seed, gstep)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lrpath.cli import main, parse_paradigm
+from lrpath.errors import InvalidSpec
 from lrpath.paradigm import CptVariant, Paradigm
 
 
@@ -19,8 +20,31 @@ class TestParseParadigm:
         assert p.family == "path_switch" and p.alpha == 0.6
 
     def test_garbage(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidSpec):
             parse_paradigm("adamw")
+
+
+PLAN_ARGS = ["--versions", "2", "--warmup", "10"]
+USAGE_ERRORS = {
+    "unknown_paradigm": (["plan", "--paradigm", "adamw", "--steps", "100", *PLAN_ARGS],
+                         "unknown paradigm 'adamw'"),
+    "path_switch_without_alpha": (["plan", "--paradigm", "path_switch", "--steps", "100", *PLAN_ARGS],
+                                  "requires an alpha"),
+    "unknown_cpt_variant": (["plan", "--paradigm", "cpt:x", "--steps", "100", *PLAN_ARGS],
+                            "paradigm 'cpt:x'"),
+    "bad_steps": (["plan", "--paradigm", "ptfs", "--steps", "100,a", *PLAN_ARGS],
+                  "argument --steps"),
+    "bad_horizon": (["schedule", "--horizon", "abc"], "argument --horizon"),
+    "not_a_report": (["compare", "{report}"], "cannot read report"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_exits_2(tmp_path, capsys, argv, message):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"ptfs": 1}))
+    assert main([a.format(report=report) for a in argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestSchedule:
@@ -66,6 +90,27 @@ class TestCost:
 
     def test_bad_versions(self, capsys):
         assert main(["cost", "--versions", "0"]) == 2
+
+
+class TestRendering:
+    def table(self, capsys, fmt):
+        assert main(["cost", "--versions", "4", "--steps", "10000", "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_csv(self, capsys):
+        lines = self.table(capsys, "csv").strip().split("\n")
+        assert lines[0] == "paradigm,N_v,T,steps,relative"
+        assert lines[1] == "ptfs,4,10000,100000,1.00"
+        assert lines[3].endswith("58000,0.58")
+
+    def test_text_alignment(self, capsys):
+        assert self.table(capsys, "text") == (
+            "paradigm         N_v  T      steps   relative\n"
+            "---------------  ---  -----  ------  --------\n"
+            "ptfs             4    10000  100000  1.00    \n"
+            "cpt:reset_max    4    10000  40000   0.40    \n"
+            "path_switch:0.6  4    10000  58000   0.58    \n"
+        )
 
 
 class TestPlan:
@@ -142,6 +187,30 @@ class TestRun:
     def test_missing_corpus_file(self, tmp_path):
         cfg = run_config(tmp_path, corpus_file=str(tmp_path / "nope.bin"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"tokens_per_step": 0}, {"log_stride": 0}, {"heldout_tokens": 4}],
+        ids=["tokens_per_step", "log_stride", "heldout_one_token_short"],
+    )
+    def test_bad_run_config(self, tmp_path, capsys, override):
+        # heldout_tokens 4 is the context length: one token short of a window
+        out = tmp_path / "o"
+        cfg = run_config(tmp_path, **override)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_defaults_to_cwd(self, tmp_path, monkeypatch):
+        # the config keys "out_dir" and "seed" are not read
+        cfg = run_config(tmp_path, out_dir=str(tmp_path / "elsewhere"), seed=7)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", str(cfg)]) == 0
+        assert (cwd / "report.json").exists()
+        assert (cwd / "path_switch-0.5" / "seed0" / "manifest.json").exists()
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "config.json"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpath.cost import cost_report, paradigm_cost, relative_cost, render_table
+from lrpath.cost import paradigm_cost, relative_cost
 from lrpath.errors import InvalidArgument
 from lrpath.paradigm import Paradigm, build_plan, plan_cost, uniform_spec
 from lrpath.schedule import ScheduleConfig, ScheduleKind
@@ -67,19 +67,3 @@ class TestProperties:
         ours = paradigm_cost(Paradigm.path_switch(alpha), n, t)
         ptfs = paradigm_cost(Paradigm.ptfs(), n, t)
         assert cpt <= ours <= 2 * cpt <= ptfs
-
-
-class TestRendering:
-    def rows(self, fmt):
-        kinds = [Paradigm.ptfs(), Paradigm.cpt(), Paradigm.path_switch(0.6)]
-        return render_table([cost_report(k, 4, 10_000) for k in kinds], fmt=fmt)
-
-    def test_csv(self):
-        lines = self.rows("csv").strip().split("\n")
-        assert lines[0] == "paradigm,N_v,T,steps,relative"
-        assert lines[1] == "ptfs,4,10000,100000,1.00"
-        assert lines[3].endswith("58000,0.58")
-
-    def test_text_alignment(self):
-        text = self.rows("text")
-        assert "0.40" in text and "0.58" in text and "1.00" in text

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpath.errors import (
-    CorpusExhausted,
-    DanglingReference,
-    DuplicateId,
-    MissingCheckpoint,
-    SchemaMismatch,
-)
+from lrpath.errors import SchemaMismatch
 from lrpath.lineage import (
     CheckpointRecord,
     Manifest,
@@ -21,12 +15,10 @@ from lrpath.lineage import (
     load_payload,
     manifest_from_dict,
     manifest_to_dict,
-    record_checkpoint,
-    resolve_init,
     save_manifest,
     save_payload,
 )
-from lrpath.paradigm import Paradigm, build_plan, uniform_spec
+from lrpath.paradigm import uniform_spec
 from lrpath.schedule import ScheduleConfig, ScheduleKind
 
 BASE = ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 100, 1000)
@@ -52,7 +44,7 @@ class TestDeriveSeed:
 class TestAllocateSegments:
     def test_uniform_disjoint(self):
         spec = uniform_spec(3, 1000, BASE)
-        segs = allocate_segments(spec, corpus_size=300_000, tokens_per_step=64)
+        segs = allocate_segments(spec, tokens_per_step=64)
         assert len(segs) == 3
         assert segs[0].start_offset == 0
         assert segs[0].length == 64_000
@@ -61,7 +53,7 @@ class TestAllocateSegments:
 
     def test_alpha_split(self):
         spec = uniform_spec(2, 1000, BASE)
-        segs = allocate_segments(spec, 200_000, 64, alpha=0.6)
+        segs = allocate_segments(spec, 64, alpha=0.6)
         ids = [s.segment_id for s in segs]
         assert ids == ["inc1/prefix", "inc1/remainder", "inc2/prefix", "inc2/remainder"]
         # prefix covers ceil(0.4*1000)=400 steps, remainder the other 600
@@ -71,13 +63,8 @@ class TestAllocateSegments:
 
     def test_start_offset(self):
         spec = uniform_spec(1, 10, BASE.replace(warmup_steps=2))
-        (seg,) = allocate_segments(spec, 10_000, 64, start_offset=5000)
+        (seg,) = allocate_segments(spec, 64, start_offset=5000)
         assert seg.start_offset == 5000
-
-    def test_exhaustion(self):
-        spec = uniform_spec(2, 1000, BASE)
-        with pytest.raises(CorpusExhausted):
-            allocate_segments(spec, corpus_size=100_000, tokens_per_step=64)
 
     @given(
         st.integers(1, 6),
@@ -88,7 +75,7 @@ class TestAllocateSegments:
     @settings(max_examples=50, deadline=None)
     def test_disjoint_and_complete(self, n, t, tps, alpha):
         spec = uniform_spec(n, t, BASE.replace(warmup_steps=min(5, t - 1)))
-        segs = allocate_segments(spec, n * t * tps, tps, alpha=alpha)
+        segs = allocate_segments(spec, tps, alpha=alpha)
         covered = []
         for s in segs:
             covered.append((s.start_offset, s.start_offset + s.length))
@@ -101,9 +88,12 @@ class TestAllocateSegments:
 
 
 class TestRecords:
-    def manifest(self):
+    """A manifest read from disk must hold a lineage: new ids, earlier parents."""
+
+    def document(self, *records):
         spec = uniform_spec(2, 100, BASE.replace(warmup_steps=10))
-        return Manifest(spec=spec, records=[], segments=[])
+        m = Manifest(spec=spec, records=[self.rec(*r) for r in records], segments=[])
+        return manifest_to_dict(m)
 
     def rec(self, ckpt_id, parent=None):
         return CheckpointRecord(
@@ -117,36 +107,23 @@ class TestRecords:
             payload_file=f"ckpt/{ckpt_id.replace('#', '_')}.bin",
         )
 
-    def test_record_and_resolve(self):
-        m = self.manifest()
-        record_checkpoint(m, self.rec("v1-main#final"))
-        record_checkpoint(m, self.rec("v1-branch#final", parent="v1-main#final"))
-        plan = build_plan(Paradigm.path_switch(0.5), m.spec)
-        branch = plan.phase("v1-branch")
-        found = resolve_init(m, branch)
-        assert found is not None and found.ckpt_id == "v1-main#final"
+    def test_lineage_accepted(self):
+        doc = self.document(("a#final",), ("b#final", "a#final"), ("c#final", "a#final"))
+        assert [r.parent for r in manifest_from_dict(doc).records] == [None, "a#final", "a#final"]
 
     def test_duplicate(self):
-        m = self.manifest()
-        record_checkpoint(m, self.rec("a#final"))
-        with pytest.raises(DuplicateId):
-            record_checkpoint(m, self.rec("a#final"))
+        doc = self.document(("a#final",), ("a#final",))
+        with pytest.raises(SchemaMismatch, match="repeats checkpoint 'a#final'"):
+            manifest_from_dict(doc)
 
     def test_dangling_parent(self):
-        m = self.manifest()
-        with pytest.raises(DanglingReference):
-            record_checkpoint(m, self.rec("b#final", parent="missing#final"))
-
-    def test_missing_checkpoint(self):
-        m = self.manifest()
-        plan = build_plan(Paradigm.path_switch(0.5), m.spec)
-        with pytest.raises(MissingCheckpoint):
-            resolve_init(m, plan.phase("v1-branch"))
-
-    def test_fresh_init_resolves_none(self):
-        m = self.manifest()
-        plan = build_plan(Paradigm.ptfs(), m.spec)
-        assert resolve_init(m, plan.phase("v1-scratch")) is None
+        doc = self.document(("b#final", "missing#final"))
+        with pytest.raises(SchemaMismatch, match="'missing#final' is not an earlier record"):
+            manifest_from_dict(doc)
+        # a parent recorded only after its child is dangling too
+        doc = self.document(("b#final", "a#final"), ("a#final",))
+        with pytest.raises(SchemaMismatch, match="not an earlier record"):
+            manifest_from_dict(doc)
 
 
 def random_manifest(rng):
@@ -163,7 +140,7 @@ def random_manifest(rng):
         t,
     )
     spec = uniform_spec(n, t, schedule, seed=int(rng.integers(0, 2**32)))
-    segs = allocate_segments(spec, n * t * 64, 64)
+    segs = allocate_segments(spec, 64)
     m = Manifest(spec=spec, records=[], segments=list(segs))
     prev = None
     for i in range(int(rng.integers(0, 6))):
@@ -177,7 +154,7 @@ def random_manifest(rng):
             metrics={"ppl": float(rng.uniform(1, 500)), "nll": float(rng.uniform(0, 7))},
             payload_file=f"ckpt/p{i}.bin",
         )
-        record_checkpoint(m, rec)
+        m.records.append(rec)
         prev = rec.ckpt_id
     return m
 
@@ -219,6 +196,23 @@ class TestManifestSerialization:
         del doc["segments"]
         with pytest.raises(SchemaMismatch):
             manifest_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "breakage",
+        ["bogus_schedule_kind", "missing_spec_field", "unknown_record_field"],
+    )
+    def test_malformed_document_rejected(self, tmp_path, breakage):
+        doc = manifest_to_dict(random_manifest(np.random.default_rng(11)))
+        if breakage == "bogus_schedule_kind":
+            doc["spec"]["base_schedule"]["kind"] = "bogus"
+        elif breakage == "missing_spec_field":
+            del doc["spec"]["increments"]
+        else:
+            doc["records"].append({"ckpt_id": "x#final", "unknown": 1})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match="malformed manifest document"):
+            load_manifest(path)
 
     def test_json_is_sorted(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -280,6 +280,14 @@ class TestValidatePlan:
         with pytest.raises(PlanViolation):
             validate_plan(dataclasses.replace(plan, phases=tuple(phases)))
 
+    def test_bad_spec(self):
+        import dataclasses
+
+        plan = build_plan(Paradigm.cpt(), spec4())
+        bad = plan.spec.replace(increments=plan.spec.increments[:-1])
+        with pytest.raises(InvalidSpec, match="expected 4 increments, got 3"):
+            validate_plan(dataclasses.replace(plan, spec=bad))
+
     def test_dangling_init(self):
         import dataclasses
 

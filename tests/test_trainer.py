@@ -9,6 +9,7 @@ from lrpath.paradigm import Paradigm, build_plan, uniform_spec
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
 from lrpath.trainer import (
     ADAM_EPS,
+    RunConfig,
     ToyModelConfig,
     _adam_apply,
     backward,
@@ -32,6 +33,19 @@ class TestModelSetup:
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
             ToyModelConfig(vocab_size=0, context_len=4, embed_dim=8, hidden_dim=8, batch_size=8)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tokens_per_step", 0, "tokens_per_step"),
+            ("log_stride", 0, "log_stride"),
+            ("heldout_tokens", TINY.context_len, "evaluation window"),
+        ],
+    )
+    def test_run_config_validation(self, field, value, message):
+        with pytest.raises(InvalidConfig, match=message):
+            RunConfig(model=TINY, **{field: value})
+        RunConfig(model=TINY, heldout_tokens=TINY.context_len + 1)
 
     def test_init_deterministic(self):
         a = init_model(TINY, seed=3)
