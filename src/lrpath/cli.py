@@ -29,6 +29,11 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+RUN_CONFIG_KEYS = frozenset({
+    "paradigms", "num_versions", "steps_per_version", "schedule", "seeds", "model",
+    "tokens_per_step", "heldout_tokens", "corpus_file", "log_stride",
+})
+
 
 def _parse_horizon(text: str) -> float:
     if text.lower() in ("inf", "infinite", "+inf"):
@@ -164,6 +169,11 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     try:
+        if not isinstance(cfg, dict):
+            raise TypeError(f"a run config is a JSON object, not {type(cfg).__name__}")
+        unknown = sorted(set(cfg) - RUN_CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
         paradigms = [parse_paradigm(p) for p in cfg["paradigms"]]
         if not paradigms:
             raise ValueError("at least one paradigm is required")
@@ -188,7 +198,8 @@ def cmd_run(args) -> int:
         if run_cfg.corpus_file and not Path(run_cfg.corpus_file).exists():
             raise ValueError(f"corpus file {run_cfg.corpus_file!r} does not exist")
         plans = [(p.label, build_plan(p, spec)) for p in paradigms]
-    except (KeyError, ValueError, TypeError, LrPathError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, LrPathError) as exc:
+        # AttributeError: a "schedule" that is not an object
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -104,6 +104,8 @@ def manifest_from_dict(d: dict) -> Manifest:
     Every record names a new `ckpt_id` and a `parent` that is None or an
     earlier record, the order `run_single` writes them in.
     """
+    if not isinstance(d, dict):
+        raise SchemaMismatch(f"a manifest document is a JSON object, not {type(d).__name__}")
     if d.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise SchemaMismatch(
             f"unsupported manifest format_version {d.get('format_version')!r}"
@@ -123,8 +125,9 @@ def manifest_from_dict(d: dict) -> Manifest:
                     f"{rec.ckpt_id}: parent {rec.parent!r} is not an earlier record"
                 )
             seen.add(rec.ckpt_id)
-    except (LookupError, TypeError, ValueError) as exc:
-        # TypeError also covers an unhashable id in the lineage check
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        # TypeError also covers an unhashable id in the lineage check;
+        # AttributeError a nested spec or schedule of another type
         raise SchemaMismatch(f"malformed manifest document: {exc!r}") from exc
     return m
 
@@ -148,6 +151,7 @@ def load_manifest(path) -> Manifest:
 # checkpoint payloads
 
 def save_payload(path, flat_params: np.ndarray, seed: int, step: int) -> None:
+    """Write params as float64; widening float32 params is exact."""
     flat = np.ascontiguousarray(flat_params, dtype="<f8")
     header = _HEADER.pack(PAYLOAD_MAGIC, 1, flat.size, seed, step)
     with open(path, "wb") as fh:

@@ -604,6 +604,8 @@ def plan_to_json(plan: TrainingPlan) -> str:
 
 
 def plan_from_dict(d: dict) -> TrainingPlan:
+    if not isinstance(d, dict):
+        raise SchemaMismatch(f"a plan document is a JSON object, not {type(d).__name__}")
     if d.get("format_version") != PLAN_FORMAT_VERSION:
         raise SchemaMismatch(
             f"unsupported plan format_version {d.get('format_version')!r}"
@@ -630,5 +632,6 @@ def plan_from_dict(d: dict) -> TrainingPlan:
             spec=spec_from_dict(d["spec"]),
             phases=phases,
         )
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        # AttributeError: a nested object (paradigm, spec, schedule) of another type
         raise SchemaMismatch(f"malformed plan document: {exc!r}") from exc

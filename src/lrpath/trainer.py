@@ -1,9 +1,10 @@
 """Deterministic desk-scale next-token trainer.
 
 A small MLP (embedding -> tanh hidden -> softmax) predicts the next byte
-of a synthetic Markov corpus.  Everything runs in float64 with explicit
-seeds; identical (plan, seed, corpus) inputs give bitwise-identical
-parameters, which the acceptance suite relies on.
+of a synthetic Markov corpus.  The math runs in the model config's dtype
+(float32 by default, float64 on request) with explicit seeds; identical
+(plan, seed, corpus, dtype) inputs give bitwise-identical parameters, which
+the acceptance suite relies on.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .paradigm import Phase, TrainingPlan, plan_cost, validate_plan
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
 ADAM_EPS = 1e-8
+DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -46,11 +48,14 @@ class ToyModelConfig:
     embed_dim: int = 32
     hidden_dim: int = 128
     batch_size: int = 64  # windows per step
+    dtype: str = "float32"  # of parameters, optimizer state and all model math
 
     def __post_init__(self):
         for name in ("vocab_size", "context_len", "embed_dim", "hidden_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be positive")
+        if self.dtype not in DTYPES:
+            raise InvalidConfig(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
 
 def _param_shapes(cfg: ToyModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -80,7 +85,7 @@ def _views(flat: np.ndarray, cfg: ToyModelConfig) -> dict[str, np.ndarray]:
 
 @dataclass
 class ModelState:
-    """Parameters stored in one flat float64 buffer; `params` are views."""
+    """Parameters stored in one flat buffer; `params` are views."""
 
     config: ToyModelConfig
     flat: np.ndarray
@@ -119,6 +124,7 @@ class EvalReport:
 
 
 def init_model(cfg: ToyModelConfig, seed: int) -> ModelState:
+    """Float64 normal draws, cast to the config's dtype (float64 keeps its bits)."""
     rng = np.random.default_rng(seed)
     chunks = []
     for name, shape in _param_shapes(cfg):
@@ -126,12 +132,11 @@ def init_model(cfg: ToyModelConfig, seed: int) -> ModelState:
             chunks.append(np.zeros(math.prod(shape)))
         else:
             chunks.append(rng.normal(0.0, 0.02, size=math.prod(shape)))
-    return ModelState(cfg, np.concatenate(chunks))
+    return ModelState(cfg, np.concatenate(chunks).astype(cfg.dtype, copy=False))
 
 
 def init_adam(model: ModelState) -> AdamState:
-    n = model.flat.size
-    return AdamState(m_flat=np.zeros(n), v_flat=np.zeros(n))
+    return AdamState(m_flat=np.zeros_like(model.flat), v_flat=np.zeros_like(model.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +227,11 @@ def _check_batch(model: ModelState, batch: np.ndarray) -> None:
 
 
 def forward_loss(model: ModelState, batch: np.ndarray) -> tuple[float, dict]:
-    """Mean next-token cross-entropy (nats) plus the backward cache."""
+    """Mean next-token cross-entropy (nats) plus the backward cache.
+
+    The cache keeps the shifted logits and their log-sum-exp; `backward`
+    turns them into probabilities, so evaluation pays for one `exp` pass.
+    """
     _check_batch(model, batch)
     cfg = model.config
     p = model.params
@@ -240,9 +249,7 @@ def forward_loss(model: ModelState, batch: np.ndarray) -> tuple[float, dict]:
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(bsz), y]
     loss = float(nll.mean())
-
-    probs = np.exp(shifted - lse[:, None])
-    cache = {"x": x, "y": y, "h0": h0, "h1": h1, "probs": probs}
+    cache = {"x": x, "y": y, "h0": h0, "h1": h1, "shifted": shifted, "lse": lse}
     return loss, cache
 
 
@@ -258,14 +265,14 @@ def backward(
     """
     cfg = model.config
     p = model.params
-    x, y, h0, h1, probs = cache["x"], cache["y"], cache["h0"], cache["h1"], cache["probs"]
+    x, y, h0, h1 = cache["x"], cache["y"], cache["h0"], cache["h1"]
     bsz = x.shape[0]
 
     if out_flat is None:
-        out_flat = np.empty(model.flat.size)
+        out_flat = np.empty_like(model.flat)
     grads = _views(out_flat, cfg)
 
-    dlogits = probs.copy()
+    dlogits = np.exp(cache["shifted"] - cache["lse"][:, None])  # softmax probs
     dlogits[np.arange(bsz), y] -= 1.0
     dlogits /= bsz
 
@@ -281,27 +288,40 @@ def backward(
     # Scatter-add into the embedding rows via a one-hot matmul; much
     # faster than np.add.at for these sizes.
     flat_ids = x.ravel()
-    onehot = np.zeros((flat_ids.size, cfg.vocab_size))
+    onehot = np.zeros((flat_ids.size, cfg.vocab_size), dtype=model.flat.dtype)
     onehot[np.arange(flat_ids.size), flat_ids] = 1.0
     np.matmul(onehot.T, de, out=grads["embed"])
     return grads
 
 
-def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr) -> None:
+def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr, scratch=None) -> None:
     """Bias-corrected Adam step `t` (1-based), in place on p, m and v.
 
-    A NaN or Inf gradient makes the update non-finite, so it raises here.
+    `scratch` is a (2, n) buffer of p's dtype that holds the temporaries
+    (allocated when None).  The ops are those of
+    `p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)`, in the
+    same order, so the bits do not depend on it.  A NaN or Inf gradient
+    makes the update non-finite, so it raises here.
     """
+    if scratch is None:
+        scratch = np.empty((2, p_flat.size), dtype=p_flat.dtype)
+    update, denom = scratch
     m_flat *= ADAM_BETA1
-    m_flat += (1.0 - ADAM_BETA1) * g_flat
+    np.multiply(g_flat, 1.0 - ADAM_BETA1, out=update)
+    m_flat += update
     v_flat *= ADAM_BETA2
-    v_flat += (1.0 - ADAM_BETA2) * (g_flat * g_flat)
-    update = (m_flat / (1.0 - ADAM_BETA1**t)) / (
-        np.sqrt(v_flat / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
-    )
+    np.multiply(g_flat, g_flat, out=update)
+    update *= 1.0 - ADAM_BETA2
+    v_flat += update
+    np.divide(m_flat, 1.0 - ADAM_BETA1**t, out=update)
+    np.divide(v_flat, 1.0 - ADAM_BETA2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
     if not np.all(np.isfinite(update)):
         raise NonFiniteUpdate("non-finite Adam update")
-    p_flat -= lr * update
+    update *= lr
+    p_flat -= update
 
 
 def train_phase(
@@ -330,7 +350,8 @@ def train_phase(
     rng = np.random.default_rng(derive_seed(run_seed, f"batches:{phase.phase_id}"))
     model = model.copy()
     adam = adam.copy()
-    g_flat = np.empty(model.flat.size)
+    g_flat = np.empty_like(model.flat)
+    scratch = np.empty((2, model.flat.size), dtype=model.flat.dtype)
     trace: list[tuple[int, float, float]] = []
     for s in range(phase.num_steps):
         lr = phase.lr_profile.lr(s)
@@ -339,7 +360,7 @@ def train_phase(
         backward(model, cache, out_flat=g_flat)
         adam.t += 1
         try:
-            _adam_apply(model.flat, adam.m_flat, adam.v_flat, adam.t, g_flat, lr)
+            _adam_apply(model.flat, adam.m_flat, adam.v_flat, adam.t, g_flat, lr, scratch)
         except NonFiniteUpdate as exc:
             raise NonFiniteUpdate(f"phase {phase.phase_id}, step {s}: {exc}") from exc
         if s % log_stride == 0 or s == phase.num_steps - 1:

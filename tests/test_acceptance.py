@@ -2,7 +2,7 @@
 
 Criteria 1-5, 7, 8 are fast.  Criterion 6 trains the toy model at full desk
 scale (five paradigms plus ten two-stage probes, three seeds each) and takes
-roughly half an hour on one core; the heavy runs are shared across the
+about six minutes on one core in the float32 default; the heavy runs are shared across the
 criterion-6 tests through session-scoped fixtures.  Deselect with
 `-k "not c6"` for a quick pass.
 
@@ -28,6 +28,7 @@ from lrpath.cost import paradigm_cost, relative_cost
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind, lr_at
 from lrpath.trainer import (
     RunConfig,
+    ToyModelConfig,
     backward,
     forward_loss,
     init_model,
@@ -107,7 +108,8 @@ def test_c4_schedule_goldens():
 
 
 def test_c5_gradient_oracle():
-    model = init_model(RunConfig().model, seed=5)
+    # float64: central differences at eps=1e-5 need its precision
+    model = init_model(ToyModelConfig(dtype="float64"), seed=5)
     rng = np.random.default_rng(55)
     cfg = model.config
     batch = rng.integers(0, cfg.vocab_size, size=(8, cfg.context_len + 1), dtype=np.int64)

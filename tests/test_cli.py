@@ -190,8 +190,10 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "override",
-        [{"tokens_per_step": 0}, {"log_stride": 0}, {"heldout_tokens": 4}],
-        ids=["tokens_per_step", "log_stride", "heldout_one_token_short"],
+        [{"tokens_per_step": 0}, {"log_stride": 0}, {"heldout_tokens": 4},
+         {"schedule": "cosine"}, {"model": {"dtype": "float16"}}],
+        ids=["tokens_per_step", "log_stride", "heldout_one_token_short",
+             "string_schedule", "model_dtype"],
     )
     def test_bad_run_config(self, tmp_path, capsys, override):
         # heldout_tokens 4 is the context length: one token short of a window
@@ -202,15 +204,42 @@ class TestRun:
         assert not out.exists()
 
     def test_out_defaults_to_cwd(self, tmp_path, monkeypatch):
-        # the config keys "out_dir" and "seed" are not read
-        cfg = run_config(tmp_path, out_dir=str(tmp_path / "elsewhere"), seed=7)
+        cfg = run_config(tmp_path)
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         assert main(["run", str(cfg)]) == 0
         assert (cwd / "report.json").exists()
         assert (cwd / "path_switch-0.5" / "seed0" / "manifest.json").exists()
-        assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("log_strid", 10), ("out_dir", "elsewhere"), ("seed", 7)]
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, value):
+        # a misspelt key would otherwise run with the default; "out_dir" and
+        # "seed" were read by earlier versions
+        out = tmp_path / "o"
+        cfg = run_config(tmp_path, **{key: value})
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and repr(key) in err
+        assert not out.exists()
+
+    def test_float64_model(self, tmp_path):
+        # the model object goes to ToyModelConfig as it is
+        model = json.loads(run_config(tmp_path).read_text())["model"]
+        reports = []
+        for dtype in ("float32", "float64"):
+            cfg = run_config(tmp_path, model={**model, "dtype": dtype})
+            assert main(["run", str(cfg), "--out", str(tmp_path / dtype)]) == 0
+            reports.append((tmp_path / dtype / "report.json").read_bytes())
+        assert reports[0] != reports[1]
+
+    def test_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('["paradigms"]')
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid config: a run config is a JSON object, not list" in capsys.readouterr().err
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "config.json"

@@ -6,10 +6,12 @@ purpose updates the digests and records the c6 values before and after.
 
 The LR digests are sha256 over the float64 per-step LRs; the payload
 digests are sha256 over the checkpoint files of a tiny `run_single`, in
-file-name order.  Payload bits depend on the BLAS the matmuls use; these
-were taken with numpy's bundled OpenBLAS on x86-64.
+file-name order, trained once in float64 and once in the float32 default.
+Payload bits depend on the BLAS the matmuls use; these were taken with
+numpy's bundled OpenBLAS on x86-64.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -54,12 +56,24 @@ PAYLOAD_DIGESTS = {
     "probe": "291d578bab1d325fca045cf1cbf17e304225929cfc1cc1632480bdc3fbde31f3",
 }
 
+PAYLOAD_DIGESTS_FLOAT32 = {
+    "ptfs": "756954e4d5c1a48cf7b9faf3cb03af475ae41bbeab308a3d54f5c268079fb19a",
+    "cpt:reset_max": "f5b4f929124b9a41a3d6e165d7c7538d947be1f0b9cff0e67f4e6fc59f9e2228",
+    "path_switch:0.6": "758758f2f0a06d8bb98f67ac05b6e470e482a8052f35e01819acda73be86eff5",
+    "probe": "730ea2def6a518801f0772faec12edee39489491069d54b03cb1474a803268fd",
+}
+
 SPEC = uniform_spec(3, 40, ScheduleConfig(ScheduleKind.COSINE, 1e-2, 1e-3, 4, 40))
 RUN_CFG = RunConfig(
-    model=ToyModelConfig(vocab_size=64, context_len=4, embed_dim=8, hidden_dim=16, batch_size=8),
+    model=ToyModelConfig(
+        vocab_size=64, context_len=4, embed_dim=8, hidden_dim=16, batch_size=8, dtype="float64"
+    ),
     tokens_per_step=16,
     heldout_tokens=2000,
     log_stride=10,
+)
+RUN_CFG_FLOAT32 = dataclasses.replace(
+    RUN_CFG, model=dataclasses.replace(RUN_CFG.model, dtype="float32")
 )
 
 
@@ -95,3 +109,13 @@ def test_payload_bits(label, tmp_path):
         h.update(path.name.encode())
         h.update(path.read_bytes())
     assert h.hexdigest() == PAYLOAD_DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", list(PAYLOAD_DIGESTS_FLOAT32))
+def test_payload_bits_float32(label, tmp_path):
+    run_single(_plan(label), RUN_CFG_FLOAT32, 0, tmp_path)
+    h = hashlib.sha256()
+    for path in sorted((tmp_path / "ckpt").iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == PAYLOAD_DIGESTS_FLOAT32[label]

@@ -18,7 +18,7 @@ from lrpath.lineage import (
     save_manifest,
     save_payload,
 )
-from lrpath.paradigm import uniform_spec
+from lrpath.paradigm import Paradigm, build_plan, plan_from_dict, plan_to_dict, uniform_spec
 from lrpath.schedule import ScheduleConfig, ScheduleKind
 
 BASE = ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 100, 1000)
@@ -250,3 +250,34 @@ class TestPayload:
         path.write_bytes(bytes(raw))
         with pytest.raises(SchemaMismatch):
             load_payload(path)
+
+
+def _plan_doc():
+    return plan_to_dict(build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 1000, BASE)))
+
+
+def _with_string_schedule(doc):
+    doc["spec"]["base_schedule"] = "cosine"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        (plan_from_dict, lambda: []),
+        (plan_from_dict, lambda: "plan"),
+        (plan_from_dict, lambda: _with_string_schedule(_plan_doc())),
+        (manifest_from_dict, lambda: []),
+        (manifest_from_dict, lambda: None),
+        (
+            manifest_from_dict,
+            lambda: _with_string_schedule(manifest_to_dict(random_manifest(np.random.default_rng(3)))),
+        ),
+    ],
+    ids=["plan_list", "plan_string", "plan_string_schedule",
+         "manifest_list", "manifest_null", "manifest_string_schedule"],
+)
+def test_non_object_document_rejected(load, doc):
+    # JSON that parses but holds another type where an object belongs
+    with pytest.raises(SchemaMismatch):
+        load(doc())

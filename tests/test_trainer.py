@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from lrpath.errors import DataExhausted, EmptyEval, InvalidConfig, NonFiniteUpda
 from lrpath.lineage import derive_seed
 from lrpath.paradigm import Paradigm, build_plan, uniform_spec
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
+from lrpath import trainer
 from lrpath.trainer import (
     ADAM_EPS,
+    ModelState,
     RunConfig,
     ToyModelConfig,
     _adam_apply,
@@ -22,7 +25,11 @@ from lrpath.trainer import (
     train_phase,
 )
 
-TINY = ToyModelConfig(vocab_size=16, context_len=4, embed_dim=8, hidden_dim=12, batch_size=8)
+# float64, so that finite differences and tight tolerances hold; the float32
+# default has its own tests in TestFloat32
+TINY = ToyModelConfig(
+    vocab_size=16, context_len=4, embed_dim=8, hidden_dim=12, batch_size=8, dtype="float64"
+)
 
 
 def tiny_batch(rng, cfg, count=8):
@@ -33,6 +40,11 @@ class TestModelSetup:
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
             ToyModelConfig(vocab_size=0, context_len=4, embed_dim=8, hidden_dim=8, batch_size=8)
+
+    @pytest.mark.parametrize("dtype", ["float16", "int32", np.float32])
+    def test_dtype_validation(self, dtype):
+        with pytest.raises(InvalidConfig, match="dtype"):
+            ToyModelConfig(dtype=dtype)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -210,6 +222,51 @@ class TestTrainPhase:
         adam = init_adam(model)
         _, _, trace = train_phase(model, adam, phase, data, run_seed=9)
         assert trace[-1][2] < trace[0][2] - 0.1
+
+
+class TestFloat32:
+    CFG = ToyModelConfig()  # the default: float32, at the c6 model size
+
+    def test_init_is_cast_of_float64_init(self):
+        m32 = init_model(self.CFG, seed=3)
+        m64 = init_model(dataclasses.replace(self.CFG, dtype="float64"), seed=3)
+        assert m32.flat.dtype == np.float32
+        np.testing.assert_array_equal(m32.flat, m64.flat.astype(np.float32))
+
+    def test_backward_matches_float64(self):
+        m32 = init_model(self.CFG, seed=2)
+        m64 = ModelState(dataclasses.replace(self.CFG, dtype="float64"), m32.flat.astype(np.float64))
+        batch = tiny_batch(np.random.default_rng(11), self.CFG, count=64)
+        loss32, cache32 = forward_loss(m32, batch)
+        loss64, cache64 = forward_loss(m64, batch)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        g32, g64 = backward(m32, cache32), backward(m64, cache64)
+        for name, g in g64.items():
+            assert g32[name].dtype == np.float32
+            # float32 carries ~7 digits; allow 1e-5 of the largest entry
+            np.testing.assert_allclose(
+                g32[name], g, rtol=1e-4, atol=1e-5 * np.abs(g).max(), err_msg=name
+            )
+
+    def test_state_stays_float32(self, monkeypatch):
+        # a silent upcast anywhere in the loop would cancel float32's gain
+        seen = []
+        adam_apply = trainer._adam_apply
+
+        def spy(*args):
+            seen.append({a.dtype for a in args if isinstance(a, np.ndarray)})
+            return adam_apply(*args)
+
+        monkeypatch.setattr(trainer, "_adam_apply", spy)
+        cfg = dataclasses.replace(TINY, dtype="float32")
+        phase = build_plan(Paradigm.ptfs(), uniform_spec(1, 40, SCHED, seed=12)).phases[0]
+        data = make_corpus(5, 40 * 64 + cfg.context_len + 1) % cfg.vocab_size
+        model = init_model(cfg, seed=12)
+        out_model, out_adam, _ = train_phase(model, init_adam(model), phase, data, run_seed=12)
+        # params, m, v, gradient and scratch buffers, at every step
+        assert seen == [{np.dtype(np.float32)}] * phase.num_steps
+        for arr in (out_model.flat, out_adam.m_flat, out_adam.v_flat):
+            assert arr.dtype == np.float32
 
 
 class TestEvaluate:
