@@ -26,7 +26,6 @@ from .schedule import (
     decay_lr,
     dump_curve,
     lr_at,
-    validate_config,
 )
 
 __all__ = [
@@ -48,6 +47,5 @@ __all__ = [
     "plan_cost",
     "relative_cost",
     "uniform_spec",
-    "validate_config",
     "validate_plan",
 ]

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SchemaMismatch
-from .paradigm import UpdateSpec, _main_prefix_steps, spec_from_dict, spec_to_dict
+from .paradigm import UpdateSpec, segment_steps, spec_from_dict, spec_to_dict
 
 MANIFEST_FORMAT_VERSION = 2
 PAYLOAD_MAGIC = b"LRPC"
@@ -63,26 +63,17 @@ def allocate_segments(
     alpha: Optional[float] = None,
     start_offset: int = 0,
 ) -> list[DataSegment]:
-    """Deterministic disjoint token segments, one group per increment.
+    """Deterministic disjoint token segments, laid out from `start_offset`.
 
-    With `alpha` set (path switching), each increment splits at the fork
-    boundary into a main-prefix segment and a decay-remainder segment.
-    `spec` is one that `validate_plan` has accepted; the segments cover
+    The segments are those of `paradigm.segment_steps(spec, alpha)`, in
+    its order, `tokens_per_step` tokens per step; together they cover
     exactly `sum(spec.increments) * tokens_per_step` tokens.
     """
     segments: list[DataSegment] = []
     cursor = start_offset
-    for i, t in enumerate(spec.increments, start=1):
-        need = t * tokens_per_step
-        if alpha is None:
-            segments.append(DataSegment(f"inc{i}/full", cursor, need))
-        else:
-            prefix = _main_prefix_steps(alpha, t) * tokens_per_step
-            if prefix:
-                segments.append(DataSegment(f"inc{i}/prefix", cursor, prefix))
-            if need - prefix:
-                segments.append(DataSegment(f"inc{i}/remainder", cursor + prefix, need - prefix))
-        cursor += need
+    for ref_id, steps in segment_steps(spec, alpha).items():
+        segments.append(DataSegment(ref_id, cursor, steps * tokens_per_step))
+        cursor += steps * tokens_per_step
     return segments
 
 

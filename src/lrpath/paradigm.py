@@ -31,7 +31,6 @@ from .schedule import (
     ScheduleKind,
     decay_lr,
     lr_at,
-    validate_config,
 )
 
 PLAN_FORMAT_VERSION = 3
@@ -65,6 +64,8 @@ class Paradigm:
         if self.family == "path_switch":
             if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
                 raise InvalidSpec(f"alpha must lie in [0, 1], got {self.alpha}")
+        elif self.alpha is not None:
+            raise InvalidSpec(f"alpha applies only to path_switch, not {self.family}")
 
     @staticmethod
     def ptfs() -> "Paradigm":
@@ -96,6 +97,21 @@ class UpdateSpec:
     base_schedule: ScheduleConfig  # horizon ignored; set per phase
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_versions < 1:
+            raise InvalidSpec(f"num_versions must be >= 1, got {self.num_versions}")
+        if len(self.increments) != self.num_versions:
+            raise InvalidSpec(
+                f"expected {self.num_versions} increments, got {len(self.increments)}"
+            )
+        if any(t < 1 for t in self.increments):
+            raise InvalidSpec("all increments must be >= 1 step")
+        if self.base_schedule.warmup_steps >= self.increments[0]:
+            raise InvalidSpec(
+                f"warmup_steps ({self.base_schedule.warmup_steps}) must be smaller "
+                f"than the first increment ({self.increments[0]})"
+            )
+
     def replace(self, **kwargs) -> "UpdateSpec":
         return dataclasses.replace(self, **kwargs)
 
@@ -112,23 +128,6 @@ def uniform_spec(
         base_schedule=base_schedule,
         seed=seed,
     )
-
-
-def validate_spec(spec: UpdateSpec) -> None:
-    if spec.num_versions < 1:
-        raise InvalidSpec(f"num_versions must be >= 1, got {spec.num_versions}")
-    if len(spec.increments) != spec.num_versions:
-        raise InvalidSpec(
-            f"expected {spec.num_versions} increments, got {len(spec.increments)}"
-        )
-    if any(t < 1 for t in spec.increments):
-        raise InvalidSpec("all increments must be >= 1 step")
-    validate_config(spec.base_schedule)
-    if spec.base_schedule.warmup_steps >= spec.increments[0]:
-        raise InvalidSpec(
-            f"warmup_steps ({spec.base_schedule.warmup_steps}) must be smaller "
-            f"than the first increment ({spec.increments[0]})"
-        )
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,6 @@ class DecayProfile:
     length: int
 
     def __post_init__(self):
-        validate_config(self.config)
         if self.length < 1:
             raise InvalidConfig(f"decay length must be >= 1, got {self.length}")
         if self.config.kind not in DECAYING_KINDS:
@@ -191,6 +189,21 @@ class Phase:
     lr_profile: LRProfile
     data_segments: tuple[SegmentRef, ...]
     emits_version_checkpoint: bool
+
+    def __post_init__(self):
+        pid = self.phase_id
+        if self.num_steps < 1:
+            raise PlanViolation(pid, "num_steps must be >= 1")
+        profile = self.lr_profile
+        if isinstance(profile, DecayProfile):
+            if profile.length != self.num_steps:
+                raise PlanViolation(pid, "decay length differs from num_steps")
+        elif not profile.hold_min:
+            h = profile.config.horizon
+            if h != INFINITE and self.num_steps - 1 > h:
+                raise PlanViolation(pid, "schedule horizon shorter than phase")
+        if len(set(self.data_segments)) != len(self.data_segments):
+            raise PlanViolation(pid, "duplicate data segment within phase")
 
 
 @dataclass(frozen=True)
@@ -217,15 +230,29 @@ def _constant_profile(base: ScheduleConfig, warmup: int) -> ScheduleProfile:
     return ScheduleProfile(cfg)
 
 
-def _main_prefix_steps(alpha: float, t: int) -> int:
-    # ceil((1 - alpha) * t) with a guard against float slop just below an
-    # integer; ties and remainders favor the main path.
-    return t - math.floor(alpha * t + 1e-9)
+def segment_steps(spec: UpdateSpec, alpha: Optional[float]) -> dict[str, int]:
+    """Training steps of each data segment, by ref id, in corpus order.
+
+    Without `alpha` each increment is one "full" segment.  Path switching
+    splits each increment at its fork into a main-path "prefix" and the
+    fast-decay "remainder"; a part with no steps has no segment.
+    """
+    out: dict[str, int] = {}
+    for i, t in enumerate(spec.increments, start=1):
+        if alpha is None:
+            out[SegmentRef(i, "full").ref_id] = t
+            continue
+        # ceil((1 - alpha) * t) with a guard against float slop just below
+        # an integer; ties and remainders favor the main path.
+        prefix = t - math.floor(alpha * t + 1e-9)
+        for part, steps in (("prefix", prefix), ("remainder", t - prefix)):
+            if steps:
+                out[SegmentRef(i, part).ref_id] = steps
+    return out
 
 
 def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
     """Compile (paradigm, scenario) into an explicit phase sequence."""
-    validate_spec(spec)
     base = spec.base_schedule
     inc = spec.increments
     n = spec.num_versions
@@ -298,15 +325,16 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
 
     elif kind.family == "path_switch":
         alpha = kind.alpha
+        split = segment_steps(spec, alpha)
         main_tip: Optional[str] = None
         for i in range(1, n + 1):
-            t = inc[i - 1]
-            m = _main_prefix_steps(alpha, t)
-            b = t - m
+            prefix, rest = SegmentRef(i, "prefix"), SegmentRef(i, "remainder")
+            m = split.get(prefix.ref_id, 0)
+            b = split.get(rest.ref_id, 0)
             if b < 1:
                 raise AlphaDegenerate(
                     f"alpha={alpha} leaves no fast-decay steps for "
-                    f"increment {i} (T={t})"
+                    f"increment {i} (T={inc[i - 1]})"
                 )
             fork = main_tip
             if m > 0:
@@ -318,7 +346,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     init_from=main_tip,
                     num_steps=m,
                     lr_profile=_constant_profile(base, warm),
-                    data_segments=(SegmentRef(i, "prefix"),),
+                    data_segments=(prefix,),
                     emits_version_checkpoint=False,
                 )
                 phases.append(mp)
@@ -331,7 +359,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     init_from=fork,
                     num_steps=b,
                     lr_profile=DecayProfile(base, b),
-                    data_segments=(SegmentRef(i, "remainder"),),
+                    data_segments=(rest,),
                     emits_version_checkpoint=True,
                 )
             )
@@ -343,7 +371,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     init_from=fork,
                     num_steps=b,
                     lr_profile=_constant_profile(base, 0),
-                    data_segments=(SegmentRef(i, "remainder"),),
+                    data_segments=(rest,),
                     emits_version_checkpoint=False,
                 )
                 phases.append(cp)
@@ -375,8 +403,6 @@ def build_two_stage_probe(
     `second_cycle`, starting at step 0 with no warmup.  Stage 1 consumes
     the first data increment, stage 2 the second.
     """
-    if fork_step < 1 or second_len < 1:
-        raise InvalidSpec("fork_step and second_len must be >= 1")
     if first_cycle != INFINITE and fork_step > first_cycle:
         raise InvalidSpec(
             f"fork_step ({fork_step}) exceeds first cycle ({first_cycle})"
@@ -385,7 +411,6 @@ def build_two_stage_probe(
     probe_spec = spec.replace(
         num_versions=2, increments=(fork_step, second_len)
     )
-    validate_spec(probe_spec)
     cfg1 = base.replace(kind=ScheduleKind.COSINE, horizon=first_cycle)
     cfg2 = base.replace(
         kind=ScheduleKind.COSINE, warmup_steps=0, horizon=second_cycle
@@ -428,7 +453,6 @@ def equalize_cpt_cost(spec: UpdateSpec, alpha: float) -> UpdateSpec:
     """
     if not (0.0 <= alpha <= 1.0):
         raise InvalidSpec(f"alpha must lie in [0, 1], got {alpha}")
-    validate_spec(spec)
     n = spec.num_versions
     if n == 1 or alpha == 0.0:
         return spec
@@ -452,11 +476,13 @@ def _ancestors(plan: TrainingPlan, phase: Phase) -> list[Phase]:
 def validate_plan(plan: TrainingPlan) -> None:
     """The one gate between a plan and a run.
 
-    Raises InvalidSpec for a bad scenario, then PlanViolation for the
-    first broken structural invariant.  A plan that passes has unique
-    phase ids, and each `init_from` names an earlier phase.
+    The spec and each phase checked their own rules when they were built;
+    this raises PlanViolation for the first broken rule across phases.  A
+    plan that passes has unique phase ids, each `init_from` names an
+    earlier phase, and each data segment is one that `segment_steps`
+    allocates for the plan.
     """
-    validate_spec(plan.spec)
+    segments = segment_steps(plan.spec, plan.paradigm.alpha)
     seen: set[str] = set()
     emitted: dict[int, str] = {}
     eta_max = plan.spec.base_schedule.eta_max
@@ -470,18 +496,9 @@ def validate_plan(plan: TrainingPlan) -> None:
         if phase.init_from is not None and phase.init_from not in seen:
             raise PlanViolation(pid, f"init_from {phase.init_from!r} not an earlier phase")
         seen.add(pid)
-        if phase.num_steps < 1:
-            raise PlanViolation(pid, "num_steps must be >= 1")
-        profile = phase.lr_profile
-        if isinstance(profile, DecayProfile):
-            if profile.length != phase.num_steps:
-                raise PlanViolation(pid, "decay length differs from num_steps")
-        elif not profile.hold_min:
-            h = profile.config.horizon
-            if h != INFINITE and phase.num_steps - 1 > h:
-                raise PlanViolation(pid, "schedule horizon shorter than phase")
-        if len(set(phase.data_segments)) != len(phase.data_segments):
-            raise PlanViolation(pid, "duplicate data segment within phase")
+        for r in phase.data_segments:
+            if r.ref_id not in segments:
+                raise PlanViolation(pid, f"no data segment {r.ref_id} in this plan")
         if phase.emits_version_checkpoint:
             if phase.version in emitted:
                 raise PlanViolation(

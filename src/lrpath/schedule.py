@@ -43,6 +43,39 @@ class ScheduleConfig:
     multistep_breaks: tuple[float, float] = (0.8, 0.9)
     multistep_factors: tuple[float, float] = (0.316, 0.10)
 
+    def __post_init__(self):
+        """Raise InvalidConfig naming the first violated invariant."""
+        if not isinstance(self.kind, ScheduleKind):
+            raise InvalidConfig(f"unknown schedule kind {self.kind!r}")
+        if not (self.eta_max > 0):
+            raise InvalidConfig(f"eta_max must be positive, got {self.eta_max}")
+        if not (self.eta_min > 0):
+            raise InvalidConfig(f"eta_min must be positive, got {self.eta_min}")
+        if self.eta_min > self.eta_max:
+            raise InvalidConfig(
+                f"eta_min ({self.eta_min}) exceeds eta_max ({self.eta_max})"
+            )
+        if self.warmup_steps < 0:
+            raise InvalidConfig(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        if self.horizon != INFINITE:
+            if self.horizon <= 0 or int(self.horizon) != self.horizon:
+                raise InvalidConfig(f"horizon must be a positive integer or INFINITE")
+            if self.warmup_steps >= self.horizon:
+                raise InvalidConfig(
+                    f"warmup_steps ({self.warmup_steps}) must be smaller than "
+                    f"horizon ({self.horizon})"
+                )
+        if not (0.0 <= self.knee_explore_fraction <= 1.0):
+            raise InvalidConfig("knee_explore_fraction must lie in [0, 1]")
+        b1, b2 = self.multistep_breaks
+        if not (0.0 < b1 < b2 < 1.0):
+            raise InvalidConfig("multistep_breaks must be strictly increasing in (0, 1)")
+        f1, f2 = self.multistep_factors
+        if not (0.0 < f2 < f1 <= 1.0):
+            raise InvalidConfig(
+                "multistep_factors must be strictly decreasing positive values <= 1"
+            )
+
     def replace(self, **kwargs) -> "ScheduleConfig":
         return dataclasses.replace(self, **kwargs)
 
@@ -60,40 +93,6 @@ class LRSeries:
         lines = ["step,lr"]
         lines.extend(f"{s},{lr:.12g}" for s, lr in self.points)
         return "\n".join(lines) + "\n"
-
-
-def validate_config(cfg: ScheduleConfig) -> None:
-    """Raise InvalidConfig naming the first violated invariant."""
-    if not isinstance(cfg.kind, ScheduleKind):
-        raise InvalidConfig(f"unknown schedule kind {cfg.kind!r}")
-    if not (cfg.eta_max > 0):
-        raise InvalidConfig(f"eta_max must be positive, got {cfg.eta_max}")
-    if not (cfg.eta_min > 0):
-        raise InvalidConfig(f"eta_min must be positive, got {cfg.eta_min}")
-    if cfg.eta_min > cfg.eta_max:
-        raise InvalidConfig(
-            f"eta_min ({cfg.eta_min}) exceeds eta_max ({cfg.eta_max})"
-        )
-    if cfg.warmup_steps < 0:
-        raise InvalidConfig(f"warmup_steps must be >= 0, got {cfg.warmup_steps}")
-    if cfg.horizon != INFINITE:
-        if cfg.horizon <= 0 or int(cfg.horizon) != cfg.horizon:
-            raise InvalidConfig(f"horizon must be a positive integer or INFINITE")
-        if cfg.warmup_steps >= cfg.horizon:
-            raise InvalidConfig(
-                f"warmup_steps ({cfg.warmup_steps}) must be smaller than "
-                f"horizon ({cfg.horizon})"
-            )
-    if not (0.0 <= cfg.knee_explore_fraction <= 1.0):
-        raise InvalidConfig("knee_explore_fraction must lie in [0, 1]")
-    b1, b2 = cfg.multistep_breaks
-    if not (0.0 < b1 < b2 < 1.0):
-        raise InvalidConfig("multistep_breaks must be strictly increasing in (0, 1)")
-    f1, f2 = cfg.multistep_factors
-    if not (0.0 < f2 < f1 <= 1.0):
-        raise InvalidConfig(
-            "multistep_factors must be strictly decreasing positive values <= 1"
-        )
 
 
 def _decay_value(cfg: ScheduleConfig, u: float) -> float:
@@ -118,7 +117,6 @@ def _decay_value(cfg: ScheduleConfig, u: float) -> float:
 
 def lr_at(cfg: ScheduleConfig, step: int) -> float:
     """Learning rate at a global step (0-based, warmup included)."""
-    validate_config(cfg)
     if step < 0:
         raise StepOutOfRange(f"step must be nonnegative, got {step}")
     w = cfg.warmup_steps
@@ -157,8 +155,8 @@ def decay_lr(cfg: ScheduleConfig, length: int, step: int) -> float:
     warmup: cosine curve, linear for Knee (the explore plateau belongs to
     the uncompressed schedule, not to a fast decay), and the two lowered
     plateaus for MultiStep, split proportionally to their original shares
-    of the decay window.  The last step is exactly eta_min.  The caller
-    validates (cfg, length) once; see paradigm.DecayProfile.
+    of the decay window.  The last step is exactly eta_min.  `length`
+    and the kind are checked once by paradigm.DecayProfile.
     """
     if not 0 <= step < length:
         raise StepOutOfRange(f"step {step} outside a decay of {length} steps")

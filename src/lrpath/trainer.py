@@ -96,6 +96,10 @@ class ModelState:
             raise ShapeMismatch(
                 f"expected {_param_count(self.config)} parameters, got {self.flat.size}"
             )
+        if self.flat.dtype != self.config.dtype:
+            raise ShapeMismatch(
+                f"expected {self.config.dtype} parameters, got {self.flat.dtype}"
+            )
         if not np.all(np.isfinite(self.flat)):
             raise NonFiniteUpdate("model parameters contain NaN/Inf")
         self.params = _views(self.flat, self.config)
@@ -339,8 +343,6 @@ def train_phase(
     reruns are bit-deterministic.  `data` is the concatenated token array
     of the phase's segments.
     """
-    if phase.num_steps < 1:
-        raise DataExhausted(f"phase {phase.phase_id}: must have at least one step")
     cfg = model.config
     width = cfg.context_len + 1
     if len(data) < width:
@@ -448,11 +450,10 @@ def run_single(
     if run_cfg.model.vocab_size < 256:
         corpus = corpus % run_cfg.model.vocab_size
     heldout = corpus[: run_cfg.heldout_tokens]
-    alpha = plan.paradigm.alpha if plan.paradigm.family == "path_switch" else None
     segments = allocate_segments(
         spec,
         tokens_per_step=run_cfg.tokens_per_step,
-        alpha=alpha,
+        alpha=plan.paradigm.alpha,
         start_offset=run_cfg.heldout_tokens,
     )
     seg_map = {s.segment_id: s for s in segments}

@@ -6,16 +6,19 @@ from hypothesis import strategies as st
 
 from lrpath.errors import (
     AlphaDegenerate,
+    InvalidConfig,
     InvalidSpec,
     PlanViolation,
     SchemaMismatch,
     StepOutOfRange,
 )
+from lrpath.lineage import Manifest, manifest_from_dict, manifest_to_dict
 from lrpath.paradigm import (
     CptVariant,
     DecayProfile,
     Paradigm,
     PathKind,
+    Phase,
     ScheduleProfile,
     SegmentRef,
     UpdateSpec,
@@ -263,12 +266,9 @@ class TestValidatePlan:
     def test_decay_length_mismatch(self):
         import dataclasses
 
-        plan = build_plan(Paradigm.path_switch(0.6), spec4())
-        phases = list(plan.phases)
-        idx = next(i for i, p in enumerate(phases) if p.phase_id == "v2-branch")
-        phases[idx] = dataclasses.replace(phases[idx], num_steps=phases[idx].num_steps + 1)
+        branch = build_plan(Paradigm.path_switch(0.6), spec4()).phase("v2-branch")
         with pytest.raises(PlanViolation, match="decay length"):
-            validate_plan(dataclasses.replace(plan, phases=tuple(phases)))
+            dataclasses.replace(branch, num_steps=branch.num_steps + 1)
 
     def test_double_emission(self):
         import dataclasses
@@ -281,12 +281,9 @@ class TestValidatePlan:
             validate_plan(dataclasses.replace(plan, phases=tuple(phases)))
 
     def test_bad_spec(self):
-        import dataclasses
-
         plan = build_plan(Paradigm.cpt(), spec4())
-        bad = plan.spec.replace(increments=plan.spec.increments[:-1])
         with pytest.raises(InvalidSpec, match="expected 4 increments, got 3"):
-            validate_plan(dataclasses.replace(plan, spec=bad))
+            plan.spec.replace(increments=plan.spec.increments[:-1])
 
     def test_dangling_init(self):
         import dataclasses
@@ -296,6 +293,96 @@ class TestValidatePlan:
         phases[1] = dataclasses.replace(phases[1], init_from="nowhere")
         with pytest.raises(PlanViolation):
             validate_plan(dataclasses.replace(plan, phases=tuple(phases)))
+
+    @pytest.mark.parametrize(
+        "kind, ref",
+        [
+            (Paradigm.ptfs(), "inc9/full"),
+            (Paradigm.ptfs(), "inc0/full"),
+            (Paradigm.ptfs(), "inc1/prefix"),
+            (Paradigm.ptfs(), "inc1/sideways"),
+            (Paradigm.path_switch(1.0), "inc1/prefix"),
+        ],
+        ids=["past_last", "zero", "ptfs_prefix", "bad_part", "empty_prefix"],
+    )
+    def test_unknown_segment(self, kind, ref):
+        # each loads, but names data that run_single would not allocate
+        doc = plan_to_dict(build_plan(kind, uniform_spec(2, 300, BASE.replace(warmup_steps=50))))
+        doc["phases"][0]["data_segments"] = [ref]
+        plan = plan_from_dict(doc)
+        pid = plan.phases[0].phase_id
+        with pytest.raises(PlanViolation, match=f"^{pid}: no data segment {ref}") as exc:
+            validate_plan(plan)
+        assert exc.value.phase_id == pid
+
+
+def _phase(**changes):
+    fields = dict(
+        phase_id="p",
+        version=1,
+        path=PathKind.SCRATCH,
+        init_from=None,
+        num_steps=100,
+        lr_profile=ScheduleProfile(BASE.replace(warmup_steps=10, horizon=100)),
+        data_segments=(SegmentRef(1, "full"),),
+        emits_version_checkpoint=True,
+    )
+    fields.update(changes)
+    return Phase(**fields)
+
+
+def _plan_doc(edit):
+    doc = plan_to_dict(build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50))))
+    edit(doc)
+    return plan_from_dict(doc)
+
+
+def _manifest_doc(edit):
+    doc = manifest_to_dict(Manifest(spec=uniform_spec(2, 300, BASE.replace(warmup_steps=50))))
+    edit(doc)
+    return manifest_from_dict(doc)
+
+
+class TestValidByConstruction:
+    """A value that breaks its rules cannot be built, nor loaded."""
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda: UpdateSpec(2, (100, 0), BASE.replace(warmup_steps=50)), InvalidSpec,
+             "all increments must be >= 1 step"),
+            (lambda: _phase(num_steps=0, lr_profile=ScheduleProfile(BASE)), PlanViolation,
+             "^p: num_steps must be >= 1"),
+            (lambda: _phase(lr_profile=DecayProfile(BASE, 99)), PlanViolation,
+             "^p: decay length differs from num_steps"),
+            (lambda: _phase(num_steps=102), PlanViolation, "^p: schedule horizon shorter than phase"),
+            (lambda: _phase(data_segments=(SegmentRef(1, "full"),) * 2), PlanViolation,
+             "^p: duplicate data segment within phase"),
+            (lambda: Paradigm("ptfs", alpha=0.5), InvalidSpec, "alpha applies only to path_switch"),
+            (lambda: _plan_doc(lambda d: d["spec"].update(increments=[300])), InvalidSpec,
+             "expected 2 increments, got 1"),
+            (lambda: _plan_doc(lambda d: d["phases"][1].update(num_steps=151)), PlanViolation,
+             "^v1-branch: decay length differs from num_steps"),
+            (lambda: _plan_doc(lambda d: d["paradigm"].update(family="ptfs")), InvalidSpec,
+             "alpha applies only to path_switch"),
+            (lambda: _plan_doc(lambda d: d["spec"]["base_schedule"].update(eta_min=1.0)), InvalidConfig,
+             "exceeds eta_max"),
+            (lambda: _manifest_doc(lambda d: d["spec"].update(increments=[50, 300])), InvalidSpec,
+             "warmup_steps \\(50\\) must be smaller than the first increment \\(50\\)"),
+            (lambda: _manifest_doc(lambda d: d["spec"]["base_schedule"].update(warmup_steps=-1)),
+             InvalidConfig, "warmup_steps must be >= 0"),
+        ],
+        ids=[
+            "spec", "phase_num_steps", "phase_decay_length", "phase_horizon", "phase_segments",
+            "alpha_on_ptfs", "plan_spec", "plan_phase", "plan_alpha_on_ptfs", "plan_schedule",
+            "manifest_spec", "manifest_schedule",
+        ],
+    )
+    def test_invalid_value_rejected(self, build, error, match):
+        # loaders pass these through as they are, not as SchemaMismatch
+        with pytest.raises(error, match=match) as exc:
+            build()
+        assert exc.type is error
 
 
 class TestSerialization:

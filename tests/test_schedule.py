@@ -13,7 +13,6 @@ from lrpath.schedule import (
     decay_lr,
     dump_curve,
     lr_at,
-    validate_config,
 )
 
 COSINE = ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 2000, 10_000)
@@ -25,23 +24,23 @@ def rel_err(a, b):
 
 class TestValidateConfig:
     def test_paper_defaults_ok(self):
-        validate_config(COSINE)
+        ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 2000, 10_000)
 
     def test_inverted_bounds(self):
         with pytest.raises(InvalidConfig):
-            validate_config(COSINE.replace(eta_max=3e-5, eta_min=3e-4))
+            COSINE.replace(eta_max=3e-5, eta_min=3e-4)
 
     def test_warmup_consumes_horizon(self):
         with pytest.raises(InvalidConfig):
-            validate_config(COSINE.replace(warmup_steps=10_000))
+            COSINE.replace(warmup_steps=10_000)
 
     def test_bad_breaks(self):
         with pytest.raises(InvalidConfig):
-            validate_config(COSINE.replace(multistep_breaks=(0.9, 0.8)))
+            COSINE.replace(multistep_breaks=(0.9, 0.8))
 
     def test_bad_factors(self):
         with pytest.raises(InvalidConfig):
-            validate_config(COSINE.replace(multistep_factors=(0.1, 0.316)))
+            COSINE.replace(multistep_factors=(0.1, 0.316))
 
 
 class TestLrAt:

@@ -66,6 +66,13 @@ class TestModelSetup:
         c = init_model(TINY, seed=4)
         assert not np.array_equal(a.flat, c.flat)
 
+    def test_dtype_must_match_config(self):
+        flat64 = init_model(TINY, seed=0).flat
+        cfg32 = dataclasses.replace(TINY, dtype="float32")
+        with pytest.raises(ShapeMismatch, match="expected float32 parameters, got float64"):
+            ModelState(cfg32, flat64)
+        assert ModelState(cfg32, flat64.astype("float32")).flat.dtype == np.float32
+
     def test_param_views_alias_flat(self):
         model = init_model(TINY, seed=0)
         model.params["b1"][:] = 7.5
