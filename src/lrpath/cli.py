@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -51,6 +52,12 @@ def _parse_steps(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected an integer or a comma list of integers, got {text!r}"
         ) from None
+
+
+def _parse_jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def parse_paradigm(text: str) -> Paradigm:
@@ -209,7 +216,10 @@ def cmd_run(args) -> int:
     ]
     try:
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # spawn, not fork: a forked child would inherit the parent's BLAS
+            # thread pool mid-state
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
                 results = list(pool.map(_run_one, jobs))
         else:
             results = [_run_one(j) for j in jobs]
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute experiments from a JSON config")
     p.add_argument("config")
     p.add_argument("--out", default=".", help="output directory (default: the current one)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_parse_jobs, default=1, help="paradigms run in parallel")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="merge reports into a comparison table")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -620,6 +621,20 @@ def plan_to_json(plan: TrainingPlan) -> str:
     return json.dumps(plan_to_dict(plan), indent=2) + "\n"
 
 
+_SEGMENT_ID = re.compile(r"inc([1-9][0-9]*)/(full|prefix|remainder)")
+
+
+def _segment_ref_from_id(ref_id) -> SegmentRef:
+    """Inverse of `SegmentRef.ref_id`; anything else is not a segment id."""
+    match = _SEGMENT_ID.fullmatch(ref_id) if isinstance(ref_id, str) else None
+    if match is None:
+        raise SchemaMismatch(
+            f"malformed plan document: segment id {ref_id!r} is not "
+            "inc<n>/full, inc<n>/prefix or inc<n>/remainder"
+        )
+    return SegmentRef(int(match[1]), match[2])
+
+
 def plan_from_dict(d: dict) -> TrainingPlan:
     if not isinstance(d, dict):
         raise SchemaMismatch(f"a plan document is a JSON object, not {type(d).__name__}")
@@ -636,10 +651,7 @@ def plan_from_dict(d: dict) -> TrainingPlan:
                 init_from=p["init_from"],
                 num_steps=int(p["num_steps"]),
                 lr_profile=_profile_from_dict(p["lr"]),
-                data_segments=tuple(
-                    SegmentRef(int(r.split("/")[0][3:]), r.split("/")[1])
-                    for r in p["data_segments"]
-                ),
+                data_segments=tuple(_segment_ref_from_id(r) for r in p["data_segments"]),
                 emits_version_checkpoint=bool(p["emits_version_checkpoint"]),
             )
             for p in d["phases"]

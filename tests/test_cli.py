@@ -36,6 +36,9 @@ USAGE_ERRORS = {
                   "argument --steps"),
     "bad_horizon": (["schedule", "--horizon", "abc"], "argument --horizon"),
     "not_a_report": (["compare", "{report}"], "cannot read report"),
+    "jobs_zero": (["run", "{report}", "--jobs", "0"], "argument --jobs: expected a positive integer"),
+    "jobs_negative": (["run", "{report}", "--jobs", "-1"], "argument --jobs"),
+    "jobs_not_int": (["run", "{report}", "--jobs", "two"], "argument --jobs"),
 }
 
 
@@ -234,6 +237,19 @@ class TestRun:
             assert main(["run", str(cfg), "--out", str(tmp_path / dtype)]) == 0
             reports.append((tmp_path / dtype / "report.json").read_bytes())
         assert reports[0] != reports[1]
+
+    def test_jobs_output_identical(self, tmp_path):
+        # the pool changes where paradigms run, not a byte of what they write
+        cfg = run_config(tmp_path, paradigms=["ptfs", "path_switch:0.5"], seeds=[0, 1])
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+            trees.append({
+                str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()
+            })
+        assert "report.json" in trees[0] and "ptfs/seed1/manifest.json" in trees[0]
+        assert trees[0] == trees[1]
 
     def test_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -9,6 +9,10 @@ digests are sha256 over the checkpoint files of a tiny `run_single`, in
 file-name order, trained once in float64 and once in the float32 default.
 Payload bits depend on the BLAS the matmuls use; these were taken with
 numpy's bundled OpenBLAS on x86-64.
+
+The corpus digests are sha256 over the little-endian int64 tokens of
+`make_corpus`; the eval pins are the exact per-version (ppl, nll) floats
+of the same tiny runs.
 """
 
 import dataclasses
@@ -25,7 +29,7 @@ from lrpath.paradigm import (
     uniform_spec,
 )
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
-from lrpath.trainer import RunConfig, ToyModelConfig, run_single
+from lrpath.trainer import RunConfig, ToyModelConfig, make_corpus, run_single
 
 DECAY_DIGESTS = {
     ("cosine", 1): "dd18bf0624c62a5ad06c856ee8355dd933d830322bb81b2758f148e03ffeed7b",
@@ -61,6 +65,64 @@ PAYLOAD_DIGESTS_FLOAT32 = {
     "cpt:reset_max": "f5b4f929124b9a41a3d6e165d7c7538d947be1f0b9cff0e67f4e6fc59f9e2228",
     "path_switch:0.6": "758758f2f0a06d8bb98f67ac05b6e470e482a8052f35e01819acda73be86eff5",
     "probe": "730ea2def6a518801f0772faec12edee39489491069d54b03cb1474a803268fd",
+}
+
+CORPUS_DIGESTS = {
+    (0, 1): "487511b40043b1074b379f271d50625d3c0ea36609702e2d15279ac2a42894c6",
+    (0, 2): "3a74a920b09a4395052faba6c78c2fec6f59aa9a221972b04950d7b6f414b4ce",
+    (0, 3): "274d05ddcfef9d6e9442cb743d82266375a72aad5932fb09edc01d89ada4ee75",
+    (0, 1000): "39eb1c196f21d677c90fbde0e4aaa29ea423f57a9132e186d19114a1e04ca334",
+    (0, 80720): "4fbe5fee8ea6ba5ac4f92dad6c5ec2bf5c31c90cef915be0335604d631c5ed3c",
+    (7, 1): "22950c1440bdaf5f1df96a5c616d62b165959c174b7941f06f44c4bec2666966",
+    (7, 2): "b40e84f3565c86c234f651ad78d0ee9d0180a045ed00f20159ae13a91e5c8543",
+    (7, 3): "f0b60cc591b725378d2aca39c5eed2a49282ef381976870bccf04a75cac448ef",
+    (7, 1000): "346a57abdb00b39ffbef3b9590e57a76cf84ec884ecb286b71e58161d3c95448",
+    (7, 80720): "b6c0fd921bc0f8bd0373ae8bbdc24cc136fb813f5577a0fa8311718203fab0a5",
+}
+
+# label -> {version: (ppl, nll)} of the tiny runs below, seed 0
+EVAL_PINS = {
+    "ptfs": {
+        1: (64.37465208277506, 4.164719954429879),
+        2: (65.10425547848664, 4.175989915411235),
+        3: (63.495164508411776, 4.150963753525297),
+    },
+    "cpt:reset_max": {
+        1: (64.37465208277506, 4.164719954429879),
+        2: (64.6177272913906, 4.168488789418693),
+        3: (63.04529663304174, 4.143853462214315),
+    },
+    "path_switch:0.6": {
+        1: (64.23525379118466, 4.162552184455524),
+        2: (64.03805175540204, 4.1594774653578455),
+        3: (63.95864786956296, 4.15823674749156),
+    },
+    "probe": {
+        1: (32.634892820255885, 3.4853820478855533),
+        2: (30.61003276509152, 3.4213278233615676),
+    },
+}
+
+EVAL_PINS_FLOAT32 = {
+    "ptfs": {
+        1: (64.37465877846556, 4.164720058441162),
+        2: (65.10426780038337, 4.175990104675293),
+        3: (63.495166396685796, 4.15096378326416),
+    },
+    "cpt:reset_max": {
+        1: (64.37465877846556, 4.164720058441162),
+        2: (64.61773956364911, 4.1684889793396),
+        3: (63.04530937978562, 4.143853664398193),
+    },
+    "path_switch:0.6": {
+        1: (64.23526485663604, 4.162552356719971),
+        2: (64.03806746816659, 4.159477710723877),
+        3: (63.95863227065918, 4.158236503601074),
+    },
+    "probe": {
+        1: (32.634893870857034, 3.485382080078125),
+        2: (30.610032948733178, 3.421327829360962),
+    },
 }
 
 SPEC = uniform_spec(3, 40, ScheduleConfig(ScheduleKind.COSINE, 1e-2, 1e-3, 4, 40))
@@ -119,3 +181,19 @@ def test_payload_bits_float32(label, tmp_path):
         h.update(path.name.encode())
         h.update(path.read_bytes())
     assert h.hexdigest() == PAYLOAD_DIGESTS_FLOAT32[label]
+
+
+@pytest.mark.parametrize("seed, size", sorted(CORPUS_DIGESTS))
+def test_corpus_bits(seed, size):
+    tokens = np.ascontiguousarray(make_corpus(seed, size), dtype="<i8")
+    assert hashlib.sha256(tokens.tobytes()).hexdigest() == CORPUS_DIGESTS[seed, size]
+
+
+@pytest.mark.parametrize(
+    "cfg, pins", [(RUN_CFG, EVAL_PINS), (RUN_CFG_FLOAT32, EVAL_PINS_FLOAT32)],
+    ids=["float64", "float32"],
+)
+@pytest.mark.parametrize("label", list(EVAL_PINS))
+def test_eval_bits(label, cfg, pins):
+    results, _ = run_single(_plan(label), cfg, 0)
+    assert {v: (r.ppl, r.nll) for v, r in results.items()} == pins[label]

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -297,23 +299,24 @@ class TestValidatePlan:
     @pytest.mark.parametrize(
         "kind, ref",
         [
-            (Paradigm.ptfs(), "inc9/full"),
-            (Paradigm.ptfs(), "inc0/full"),
-            (Paradigm.ptfs(), "inc1/prefix"),
-            (Paradigm.ptfs(), "inc1/sideways"),
-            (Paradigm.path_switch(1.0), "inc1/prefix"),
+            (Paradigm.ptfs(), SegmentRef(9, "full")),
+            (Paradigm.ptfs(), SegmentRef(0, "full")),
+            (Paradigm.ptfs(), SegmentRef(1, "prefix")),
+            (Paradigm.ptfs(), SegmentRef(1, "sideways")),
+            (Paradigm.path_switch(1.0), SegmentRef(1, "prefix")),
         ],
         ids=["past_last", "zero", "ptfs_prefix", "bad_part", "empty_prefix"],
     )
     def test_unknown_segment(self, kind, ref):
-        # each loads, but names data that run_single would not allocate
-        doc = plan_to_dict(build_plan(kind, uniform_spec(2, 300, BASE.replace(warmup_steps=50))))
-        doc["phases"][0]["data_segments"] = [ref]
-        plan = plan_from_dict(doc)
-        pid = plan.phases[0].phase_id
-        with pytest.raises(PlanViolation, match=f"^{pid}: no data segment {ref}") as exc:
+        # each names data that run_single would not allocate; plan_from_dict
+        # loads the well-formed ids among them and rejects the others
+        # (TestSerialization::test_malformed_segment_id_rejected)
+        plan = build_plan(kind, uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+        first = dataclasses.replace(plan.phases[0], data_segments=(ref,))
+        plan = dataclasses.replace(plan, phases=(first,) + plan.phases[1:])
+        with pytest.raises(PlanViolation, match=f"^{first.phase_id}: no data segment {ref.ref_id}") as exc:
             validate_plan(plan)
-        assert exc.value.phase_id == pid
+        assert exc.value.phase_id == first.phase_id
 
 
 def _phase(**changes):
@@ -441,6 +444,21 @@ class TestSerialization:
         else:
             doc["phases"][0]["data_segments"] = ["inc1"]
         with pytest.raises(SchemaMismatch, match="malformed plan document"):
+            plan_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "ref",
+        ["xyz1/full", "inc1/full/extra", "inc01/full", "inc0/full", "inc1/sideways",
+         "inc-1/full", "inc+1/full", "inc1/", "/full", " inc1/full", "inc1/full\n",
+         "inc\uff11/full", 1],
+        ids=["prefix", "extra_part", "leading_zero", "zero", "bad_part", "negative", "plus",
+             "no_part", "no_increment", "space", "newline", "fullwidth_digit", "not_a_string"],
+    )
+    def test_malformed_segment_id_rejected(self, ref):
+        plan = build_plan(Paradigm.ptfs(), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+        doc = plan_to_dict(plan)
+        doc["phases"][0]["data_segments"] = [ref]
+        with pytest.raises(SchemaMismatch, match=re.escape(f"segment id {ref!r}")):
             plan_from_dict(doc)
 
     @pytest.mark.parametrize("steps", [100, 100_000])

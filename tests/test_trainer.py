@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
 from lrpath import trainer
 from lrpath.trainer import (
     ADAM_EPS,
+    EVAL_BLOCK,
+    EVAL_GROUP,
+    EvalReport,
     ModelState,
     RunConfig,
     ToyModelConfig,
@@ -276,6 +280,53 @@ class TestFloat32:
             assert arr.dtype == np.float32
 
 
+def reference_evaluate(model, heldout):
+    """Evaluation as one forward pass per EVAL_GROUP windows (no blocking)."""
+    width = model.config.context_len + 1
+    starts = np.arange(0, len(heldout) - width + 1, width)
+    windows = heldout[starts[:, None] + np.arange(width)]
+    total = 0.0
+    for i in range(0, len(windows), EVAL_GROUP):
+        chunk = windows[i : i + EVAL_GROUP]
+        loss, _ = forward_loss(model, chunk)
+        total += loss * len(chunk)
+    nll = total / len(windows)
+    return EvalReport(ppl=math.exp(nll), nll=nll, tokens_evaluated=int(len(windows)))
+
+
+def reference_corpus(seed, size):
+    """`make_corpus` with its recurrence on numpy scalars, as an exactness reference."""
+    n_modes = 16
+    rng = np.random.default_rng(seed)
+    coef_a = rng.integers(1, 256, size=n_modes)
+    coef_b = rng.integers(1, 256, size=n_modes)
+    coef_c = rng.integers(0, 256, size=n_modes)
+    switch = rng.random(size) < (1.0 / 512.0)
+    mode_draws = rng.integers(0, n_modes, size=size)
+    idx = np.flatnonzero(switch)
+    boundaries = np.concatenate(([0], idx))
+    values = np.concatenate(([mode_draws[0]], mode_draws[idx]))
+    mode = values[np.searchsorted(boundaries, np.arange(size), side="right") - 1]
+    noisy = rng.random(size) < 0.08
+    noise_vals = rng.integers(0, 256, size=size)
+
+    out = np.empty(size, dtype=np.int64)
+    out[0] = int(noise_vals[0])
+    if size > 1:
+        out[1] = int(noise_vals[1])
+    a, b, c = coef_a[mode], coef_b[mode], coef_c[mode]
+    prev1, prev2 = int(out[min(1, size - 1)]), int(out[0])
+    for t in range(2, size):
+        if noisy[t]:
+            x = int(noise_vals[t])
+        else:
+            x = (a[t] * prev1 + b[t] * prev2 + c[t]) % 256
+        out[t] = x
+        prev2 = prev1
+        prev1 = x
+    return out
+
+
 class TestEvaluate:
     def test_uniform_model_ppl(self):
         model = init_model(TINY, seed=0)
@@ -297,8 +348,49 @@ class TestEvaluate:
         with pytest.raises(EmptyEval):
             evaluate_ppl(model, np.zeros(TINY.context_len, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("vocab", [64, 256])
+    @pytest.mark.parametrize(
+        "windows",
+        [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_GROUP, EVAL_GROUP + 1, 5555],
+        ids=["one", "block-1", "block", "group", "group+1", "heldout_50k"],
+    )
+    def test_matches_unblocked_reference(self, dtype, vocab, windows):
+        # every size but "block" and "group" ends in a partial block; the
+        # last two span two reduction groups
+        cfg = ToyModelConfig(vocab_size=vocab, dtype=dtype)
+        rng = np.random.default_rng(vocab + windows)
+        # weights far from init, so that the per-row losses differ widely
+        flat = rng.normal(0.0, 0.3, size=trainer._param_count(cfg)).astype(dtype)
+        model = ModelState(cfg, flat)
+        heldout = make_corpus(6, windows * (cfg.context_len + 1) + 3) % vocab
+        report = evaluate_ppl(model, heldout)
+        assert report.tokens_evaluated == windows
+        assert report == reference_evaluate(model, heldout)
+
+    def test_peak_memory(self):
+        # default model and held-out size: 5555 windows in 22 blocks
+        run_cfg = RunConfig()
+        model = init_model(run_cfg.model, seed=0)
+        heldout = make_corpus(0, run_cfg.heldout_tokens)
+        evaluate_ppl(model, heldout)  # warm any lazily allocated state
+        tracemalloc.start()
+        try:
+            evaluate_ppl(model, heldout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestCorpus:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 513, 10_000])
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_matches_numpy_scalar_reference(self, seed, size):
+        data = make_corpus(seed, size)
+        assert data.dtype == np.int64 and data.shape == (size,)
+        np.testing.assert_array_equal(data, reference_corpus(seed, size))
+
     def test_deterministic(self):
         np.testing.assert_array_equal(make_corpus(8, 10_000), make_corpus(8, 10_000))
 
