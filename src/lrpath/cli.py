@@ -23,7 +23,7 @@ from .paradigm import (
     build_plan,
     plan_to_json,
 )
-from .schedule import INFINITE, ScheduleConfig, ScheduleKind
+from .schedule import INFINITE, ScheduleConfig, ScheduleKind, json_int
 from .trainer import RunConfig, ToyModelConfig, run_experiment
 
 EXIT_OK = 0
@@ -185,22 +185,24 @@ def cmd_run(args) -> int:
         if not paradigms:
             raise ValueError("at least one paradigm is required")
         schedule_cfg = sched.config_from_dict(cfg["schedule"])
+        num_versions = json_int(cfg["num_versions"], "num_versions")
         steps = cfg["steps_per_version"]
-        if isinstance(steps, int):
-            steps = [steps] * cfg["num_versions"]
+        if not isinstance(steps, list):
+            steps = [steps] * num_versions
         spec = UpdateSpec(
-            num_versions=int(cfg["num_versions"]),
-            increments=tuple(int(s) for s in steps),
+            num_versions=num_versions,
+            increments=tuple(json_int(s, "steps_per_version") for s in steps),
             base_schedule=schedule_cfg,
         )
+        model = {k: v if k == "dtype" else json_int(v, k) for k, v in cfg.get("model", {}).items()}
         run_cfg = RunConfig(
-            model=ToyModelConfig(**cfg.get("model", {})),
-            tokens_per_step=int(cfg.get("tokens_per_step", 64)),
-            heldout_tokens=int(cfg.get("heldout_tokens", 50_000)),
+            model=ToyModelConfig(**model),
+            tokens_per_step=json_int(cfg.get("tokens_per_step", 64), "tokens_per_step"),
+            heldout_tokens=json_int(cfg.get("heldout_tokens", 50_000), "heldout_tokens"),
             corpus_file=cfg.get("corpus_file"),
-            log_stride=int(cfg.get("log_stride", 100)),
+            log_stride=json_int(cfg.get("log_stride", 100), "log_stride"),
         )
-        seeds = [int(s) for s in cfg.get("seeds", [0])]
+        seeds = [json_int(s, "seed") for s in cfg.get("seeds", [0])]
         out_dir = Path(args.out)
         if run_cfg.corpus_file and not Path(run_cfg.corpus_file).exists():
             raise ValueError(f"corpus file {run_cfg.corpus_file!r} does not exist")
@@ -227,7 +229,7 @@ def cmd_run(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    summary = {label: report.to_dict() for label, report in results}
+    summary = dict(results)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"

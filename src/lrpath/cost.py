@@ -7,15 +7,15 @@ of plan construction, so they double as a cross-check for compiled plans.
 from __future__ import annotations
 
 from .errors import InvalidArgument
-from .paradigm import Paradigm
+from .paradigm import Paradigm, fast_decay_steps
 
 
 def paradigm_cost(kind: Paradigm, n: int, t: int) -> int:
     """Total training steps to produce n versions with t steps of new data each.
 
     PTFS: 0.5*t*n^2 + 0.5*t*n.  CPT: t*n.  Path switching: (1+a)*t*n - a*t,
-    the last version needing no main-path continuation.  Rounded to the
-    nearest step only when a*t is non-integral.
+    the last version needing no main-path continuation, with a*t floored
+    (`fast_decay_steps`) when it is non-integral.
     """
     if n < 1:
         raise InvalidArgument(f"n_versions must be >= 1, got {n}")
@@ -26,7 +26,7 @@ def paradigm_cost(kind: Paradigm, n: int, t: int) -> int:
     if kind.family == "cpt":
         return t * n
     if kind.family == "path_switch":
-        return t * n + round(kind.alpha * t * (n - 1))
+        return t * n + (n - 1) * fast_decay_steps(t, kind.alpha)
     raise InvalidArgument(f"no closed-form cost for family {kind.family!r}")
 
 

@@ -31,6 +31,8 @@ from .schedule import (
     ScheduleConfig,
     ScheduleKind,
     decay_lr,
+    json_bool,
+    json_int,
     lr_at,
 )
 
@@ -231,6 +233,13 @@ def _constant_profile(base: ScheduleConfig, warmup: int) -> ScheduleProfile:
     return ScheduleProfile(cfg)
 
 
+def fast_decay_steps(t: int, alpha: float) -> int:
+    """Fast-decay steps of a t-step increment: floor(alpha * t), guarded
+    against float slop just below an integer.  Plans, costs and equal
+    budgets all split an increment this way; the main path keeps the rest."""
+    return math.floor(alpha * t + 1e-9)
+
+
 def segment_steps(spec: UpdateSpec, alpha: Optional[float]) -> dict[str, int]:
     """Training steps of each data segment, by ref id, in corpus order.
 
@@ -243,9 +252,7 @@ def segment_steps(spec: UpdateSpec, alpha: Optional[float]) -> dict[str, int]:
         if alpha is None:
             out[SegmentRef(i, "full").ref_id] = t
             continue
-        # ceil((1 - alpha) * t) with a guard against float slop just below
-        # an integer; ties and remainders favor the main path.
-        prefix = t - math.floor(alpha * t + 1e-9)
+        prefix = t - fast_decay_steps(t, alpha)
         for part, steps in (("prefix", prefix), ("remainder", t - prefix)):
             if steps:
                 out[SegmentRef(i, part).ref_id] = steps
@@ -448,7 +455,7 @@ def build_two_stage_probe(
 def equalize_cpt_cost(spec: UpdateSpec, alpha: float) -> UpdateSpec:
     """Inflate a CPT scenario so its total cost matches path switching.
 
-    Each update's step budget grows by its share of the fast-decay
+    Each update's budget grows by its share of the `fast_decay_steps`
     overhead; the integer remainder goes to the earliest updates so the
     totals match exactly.
     """
@@ -457,7 +464,7 @@ def equalize_cpt_cost(spec: UpdateSpec, alpha: float) -> UpdateSpec:
     n = spec.num_versions
     if n == 1 or alpha == 0.0:
         return spec
-    extra = round(alpha * sum(spec.increments[:-1]))
+    extra = sum(fast_decay_steps(t, alpha) for t in spec.increments[:-1])
     total = sum(spec.increments) + extra
     per, rem = divmod(total, n)
     increments = tuple(per + 1 if i < rem else per for i in range(n))
@@ -566,10 +573,10 @@ def spec_to_dict(spec: UpdateSpec) -> dict:
 
 def spec_from_dict(d: dict) -> UpdateSpec:
     return UpdateSpec(
-        num_versions=int(d["num_versions"]),
-        increments=tuple(int(t) for t in d["increments"]),
+        num_versions=json_int(d["num_versions"], "num_versions"),
+        increments=tuple(json_int(t, "increment") for t in d["increments"]),
         base_schedule=sched.config_from_dict(d["base_schedule"]),
-        seed=int(d.get("seed", 0)),
+        seed=json_int(d.get("seed", 0), "seed"),
     )
 
 
@@ -590,9 +597,9 @@ def _profile_to_dict(profile: LRProfile) -> dict:
 def _profile_from_dict(d: dict) -> LRProfile:
     cfg = sched.config_from_dict(d["config"])
     if d["type"] == "decay":
-        return DecayProfile(cfg, int(d["length"]))
+        return DecayProfile(cfg, json_int(d["length"], "decay length"))
     if d["type"] == "schedule":
-        return ScheduleProfile(cfg, bool(d["hold_min"]))
+        return ScheduleProfile(cfg, json_bool(d["hold_min"], "hold_min"))
     raise SchemaMismatch(f"unknown lr profile type {d['type']!r}")
 
 
@@ -646,13 +653,15 @@ def plan_from_dict(d: dict) -> TrainingPlan:
         phases = tuple(
             Phase(
                 phase_id=p["phase_id"],
-                version=int(p["version"]),
+                version=json_int(p["version"], "version"),
                 path=PathKind(p["path"]),
                 init_from=p["init_from"],
-                num_steps=int(p["num_steps"]),
+                num_steps=json_int(p["num_steps"], "num_steps"),
                 lr_profile=_profile_from_dict(p["lr"]),
                 data_segments=tuple(_segment_ref_from_id(r) for r in p["data_segments"]),
-                emits_version_checkpoint=bool(p["emits_version_checkpoint"]),
+                emits_version_checkpoint=json_bool(
+                    p["emits_version_checkpoint"], "emits_version_checkpoint"
+                ),
             )
             for p in d["phases"]
         )

@@ -182,6 +182,22 @@ def dump_curve(cfg: ScheduleConfig, start: int, stop: int, stride: int) -> LRSer
     return LRSeries(points)
 
 
+def json_int(value, name: str) -> int:
+    """A count from a JSON document: an int or an integral float such as 5e4."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_bool(value, name: str) -> bool:
+    """A flag read from a JSON document: true or false, nothing else."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def config_to_dict(cfg: ScheduleConfig) -> dict:
     return {
         "kind": cfg.kind.value,
@@ -201,8 +217,8 @@ def config_from_dict(d: dict) -> ScheduleConfig:
         kind=ScheduleKind(d["kind"]),
         eta_max=float(d["eta_max"]),
         eta_min=float(d["eta_min"]),
-        warmup_steps=int(d.get("warmup_steps", 0)),
-        horizon=INFINITE if horizon in ("inf", None) else int(horizon),
+        warmup_steps=json_int(d.get("warmup_steps", 0), "warmup_steps"),
+        horizon=INFINITE if horizon in ("inf", None) else json_int(horizon, "horizon"),
         knee_explore_fraction=float(d.get("knee_explore_fraction", 0.5)),
         multistep_breaks=tuple(d.get("multistep_breaks", (0.8, 0.9))),
         multistep_factors=tuple(d.get("multistep_factors", (0.316, 0.10))),

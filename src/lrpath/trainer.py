@@ -58,8 +58,9 @@ class ToyModelConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "context_len", "embed_dim", "hidden_dim", "batch_size"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
         if self.dtype not in DTYPES:
             raise InvalidConfig(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
@@ -91,11 +92,20 @@ def _views(flat: np.ndarray, cfg: ToyModelConfig) -> dict[str, np.ndarray]:
 
 @dataclass
 class ModelState:
-    """Parameters stored in one flat buffer; `params` are views."""
+    """A training checkpoint: parameters in one flat buffer (`params` are
+    views), Adam's moments `m` and `v` (zeros when not given), and `t`, the
+    optimizer steps since the fresh init, which is the global step."""
 
+    # A state allocates, copies and frees its parameters before its moments
+    # (`params` holds views of `flat`, so it is declared before them): the
+    # glibc heap layout, and with it what later large numpy temporaries
+    # cost, depends on that order.
     config: ToyModelConfig
     flat: np.ndarray
-    params: dict[str, np.ndarray] = field(init=False, repr=False)
+    params: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    t: int = 0
 
     def __post_init__(self):
         if self.flat.size != _param_count(self.config):
@@ -108,22 +118,16 @@ class ModelState:
             )
         if not np.all(np.isfinite(self.flat)):
             raise NonFiniteUpdate("model parameters contain NaN/Inf")
+        if self.m is None:
+            self.m = np.zeros_like(self.flat)
+        if self.v is None:
+            self.v = np.zeros_like(self.flat)
         self.params = _views(self.flat, self.config)
 
     def copy(self) -> "ModelState":
-        return ModelState(self.config, self.flat.copy())
-
-
-@dataclass
-class AdamState:
-    """First/second moment buffers shaped like the model's flat parameters."""
-
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    t: int = 0
-
-    def copy(self) -> "AdamState":
-        return AdamState(self.m_flat.copy(), self.v_flat.copy(), self.t)
+        state = ModelState(self.config, self.flat.copy(), self.m, self.v, self.t)
+        state.m, state.v = self.m.copy(), self.v.copy()
+        return state
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class EvalReport:
 
 
 def init_model(cfg: ToyModelConfig, seed: int) -> ModelState:
-    """Float64 normal draws, cast to the config's dtype (float64 keeps its bits)."""
+    """A fresh state: float64 normal draws cast to the config's dtype, t = 0."""
     rng = np.random.default_rng(seed)
     chunks = []
     for name, shape in _param_shapes(cfg):
@@ -142,11 +146,9 @@ def init_model(cfg: ToyModelConfig, seed: int) -> ModelState:
             chunks.append(np.zeros(math.prod(shape)))
         else:
             chunks.append(rng.normal(0.0, 0.02, size=math.prod(shape)))
-    return ModelState(cfg, np.concatenate(chunks).astype(cfg.dtype, copy=False))
-
-
-def init_adam(model: ModelState) -> AdamState:
-    return AdamState(m_flat=np.zeros_like(model.flat), v_flat=np.zeros_like(model.flat))
+    flat = np.concatenate(chunks).astype(cfg.dtype, copy=False)
+    del chunks  # freed before ModelState allocates the moments
+    return ModelState(cfg, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +339,14 @@ def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr, scratch=None) -> None:
 
 def train_phase(
     model: ModelState,
-    adam: AdamState,
     phase: Phase,
     data: np.ndarray,
     run_seed: int,
     log_stride: int = 100,
-) -> tuple[ModelState, AdamState, list[tuple[int, float, float]]]:
-    """Run exactly phase.num_steps steps; returns (model', adam', trace).
+) -> tuple[ModelState, list[tuple[int, float, float]]]:
+    """Run exactly phase.num_steps steps; returns (model', trace).
 
-    The inputs are left unchanged, so several phases can fork from one
+    The input state is left unchanged, so several phases can fork from one
     parent state.  The batch stream is seeded by (run_seed, phase_id), so
     reruns are bit-deterministic.  `data` is the concatenated token array
     of the phase's segments.
@@ -358,7 +359,6 @@ def train_phase(
         )
     rng = np.random.default_rng(derive_seed(run_seed, f"batches:{phase.phase_id}"))
     model = model.copy()
-    adam = adam.copy()
     g_flat = np.empty_like(model.flat)
     scratch = np.empty((2, model.flat.size), dtype=model.flat.dtype)
     trace: list[tuple[int, float, float]] = []
@@ -367,14 +367,14 @@ def train_phase(
         batch = sample_windows(data, rng, cfg.batch_size, width)
         loss, cache = forward_loss(model, batch)
         backward(model, cache, out_flat=g_flat)
-        adam.t += 1
+        model.t += 1
         try:
-            _adam_apply(model.flat, adam.m_flat, adam.v_flat, adam.t, g_flat, lr, scratch)
+            _adam_apply(model.flat, model.m, model.v, model.t, g_flat, lr, scratch)
         except NonFiniteUpdate as exc:
             raise NonFiniteUpdate(f"phase {phase.phase_id}, step {s}: {exc}") from exc
         if s % log_stride == 0 or s == phase.num_steps - 1:
             trace.append((s, lr, loss))
-    return model, adam, trace
+    return model, trace
 
 
 def evaluate_ppl(model: ModelState, heldout: np.ndarray) -> EvalReport:
@@ -425,27 +425,6 @@ class RunConfig:
             )
 
 
-@dataclass
-class ExperimentReport:
-    paradigm: str
-    seeds: list[int]
-    total_steps: int
-    versions: dict[int, dict]  # version -> {"ppl": [...], "nll": [...], "mean_ppl": x}
-
-    def to_dict(self) -> dict:
-        return {
-            "paradigm": self.paradigm,
-            "seeds": list(self.seeds),
-            "total_steps": self.total_steps,
-            "versions": {
-                str(v): self.versions[v] for v in sorted(self.versions)
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def run_single(
     plan: TrainingPlan,
     run_cfg: RunConfig,
@@ -477,31 +456,23 @@ def run_single(
     if out_dir is not None:
         (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
 
-    store: dict[str, tuple[ModelState, AdamState, int]] = {}
+    store: dict[str, ModelState] = {}
     results: dict[int, EvalReport] = {}
     for phase in plan.phases:
         if phase.init_from is None:
             # Fresh-init seed folds in the version index so independent
             # scratch runs differ.
             model = init_model(run_cfg.model, seed ^ phase.version)
-            adam = init_adam(model)
-            gstep = 0
-            parent_ckpt = None
         else:
-            src_model, src_adam, gstep = store[phase.init_from]
-            model, adam = src_model, src_adam
-            parent_ckpt = f"{phase.init_from}#final"
+            model = store[phase.init_from]
         data = np.concatenate(
             [
                 corpus[seg_map[r.ref_id].start_offset : seg_map[r.ref_id].start_offset + seg_map[r.ref_id].length]
                 for r in phase.data_segments
             ]
         )
-        model, adam, trace = train_phase(
-            model, adam, phase, data, seed, log_stride=run_cfg.log_stride
-        )
-        gstep += phase.num_steps
-        store[phase.phase_id] = (model, adam, gstep)
+        model, trace = train_phase(model, phase, data, seed, log_stride=run_cfg.log_stride)
+        store[phase.phase_id] = model
 
         report = None
         if phase.emits_version_checkpoint:
@@ -516,14 +487,14 @@ def run_single(
                 phase_id=phase.phase_id,
                 version=phase.version,
                 path=phase.path.value,
-                parent=parent_ckpt,
-                global_step=gstep,
+                parent=None if phase.init_from is None else f"{phase.init_from}#final",
+                global_step=model.t,
                 metrics=dataclasses.asdict(report) if report else None,
                 payload_file=payload_file,
             )
         )
         if out_dir is not None:
-            save_payload(out_dir / payload_file, model.flat, seed, gstep)
+            save_payload(out_dir / payload_file, model.flat, seed, model.t)
             trace_path = out_dir / f"trace_{phase.phase_id}.csv"
             with open(trace_path, "w", encoding="utf-8") as fh:
                 fh.write("step,lr,loss\n")
@@ -539,29 +510,30 @@ def run_experiment(
     run_cfg: RunConfig,
     seeds: Sequence[int],
     out_dir: Optional[Path] = None,
-) -> ExperimentReport:
-    """Run a plan over several seeds and aggregate per-version perplexity."""
+) -> dict:
+    """Run a plan over several seeds; returns the `report.json` document,
+    with per-seed perplexity and its mean for each version."""
     per_seed: list[dict[int, EvalReport]] = []
     for seed in seeds:
         seed_dir = None if out_dir is None else Path(out_dir) / f"seed{seed}"
         results, _ = run_single(plan, run_cfg, seed, seed_dir)
         per_seed.append(results)
-    versions: dict[int, dict] = {}
+    versions: dict[str, dict] = {}
     for v in sorted(per_seed[0]):
         ppls = [r[v].ppl for r in per_seed]
-        nlls = [r[v].nll for r in per_seed]
-        versions[v] = {
+        versions[str(v)] = {
             "ppl": ppls,
-            "nll": nlls,
+            "nll": [r[v].nll for r in per_seed],
             "mean_ppl": sum(ppls) / len(ppls),
         }
-    report = ExperimentReport(
-        paradigm=plan.paradigm.label,
-        seeds=list(seeds),
-        total_steps=plan_cost(plan),
-        versions=versions,
-    )
+    report = {
+        "paradigm": plan.paradigm.label,
+        "seeds": list(seeds),
+        "total_steps": plan_cost(plan),
+        "versions": versions,
+    }
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "report.json").write_text(report.to_json(), encoding="utf-8")
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        (Path(out_dir) / "report.json").write_text(text, encoding="utf-8")
     return report

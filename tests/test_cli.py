@@ -194,9 +194,18 @@ class TestRun:
     @pytest.mark.parametrize(
         "override",
         [{"tokens_per_step": 0}, {"log_stride": 0}, {"heldout_tokens": 4},
-         {"schedule": "cosine"}, {"model": {"dtype": "float16"}}],
+         {"schedule": "cosine"}, {"model": {"dtype": "float16"}},
+         {"model": {"hidden_dim": 16.5}}, {"model": {"batch_size": True}},
+         {"heldout_tokens": 2000.5}, {"tokens_per_step": True}, {"steps_per_version": 30.5},
+         {"steps_per_version": [30, 30.5]}, {"num_versions": 2.5}, {"seeds": [0.5]},
+         {"log_stride": "10"},
+         {"schedule": {"kind": "cosine", "eta_max": 1e-3, "eta_min": 1e-4, "warmup_steps": 5.5}},
+         {"schedule": {"kind": "cosine", "eta_max": 1e-3, "eta_min": 1e-4, "horizon": 100.5}}],
         ids=["tokens_per_step", "log_stride", "heldout_one_token_short",
-             "string_schedule", "model_dtype"],
+             "string_schedule", "model_dtype", "model_fraction", "model_bool",
+             "heldout_fraction", "bool_count", "steps_fraction", "steps_list_fraction",
+             "versions_fraction", "seed_fraction", "string_count", "warmup_fraction",
+             "horizon_fraction"],
     )
     def test_bad_run_config(self, tmp_path, capsys, override):
         # heldout_tokens 4 is the context length: one token short of a window
@@ -205,6 +214,20 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integral_floats_load(self, tmp_path):
+        # JSON writers may emit 2e3 for 2000; the run is the same
+        model = json.loads(run_config(tmp_path).read_text())["model"]
+        floats = {
+            "num_versions": 2.0, "steps_per_version": 3e1, "heldout_tokens": 2e3,
+            "tokens_per_step": 40.0, "seeds": [0.0], "model": {**model, "hidden_dim": 16.0},
+        }
+        outs = []
+        for name, overrides in (("ints", {}), ("floats", floats)):
+            cfg = run_config(tmp_path, **overrides)
+            assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+            outs.append((tmp_path / name / "report.json").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_out_defaults_to_cwd(self, tmp_path, monkeypatch):
         cfg = run_config(tmp_path)

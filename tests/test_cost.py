@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpath.cost import paradigm_cost, relative_cost
-from lrpath.errors import InvalidArgument
-from lrpath.paradigm import Paradigm, build_plan, plan_cost, uniform_spec
+from lrpath.errors import AlphaDegenerate, InvalidArgument
+from lrpath.paradigm import Paradigm, build_plan, equalize_cpt_cost, plan_cost, uniform_spec
 from lrpath.schedule import ScheduleConfig, ScheduleKind
 
 BASE = ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 100, 10_000)
@@ -67,3 +67,24 @@ class TestProperties:
         ours = paradigm_cost(Paradigm.path_switch(alpha), n, t)
         ptfs = paradigm_cost(Paradigm.ptfs(), n, t)
         assert cpt <= ours <= 2 * cpt <= ptfs
+
+
+def test_fast_decay_split_agrees_on_small_grid():
+    # the closed-form cost, the compiled plan and the equal-budget CPT
+    # scenario split alpha*t the same way, also when it is not integral
+    base = BASE.replace(warmup_steps=0)
+    cases = 0
+    for n in range(1, 7):
+        for t in range(1, 60):
+            spec = uniform_spec(n, t, base)
+            for alpha in (0.05, 0.1, 0.25, 0.3, 0.45, 0.5, 0.6, 0.7, 0.9, 1.0):
+                kind = Paradigm.path_switch(alpha)
+                try:
+                    cost = plan_cost(build_plan(kind, spec))
+                except AlphaDegenerate:
+                    continue  # no fast-decay step
+                cases += 1
+                assert paradigm_cost(kind, n, t) == cost, (n, t, alpha)
+                equal = equalize_cpt_cost(spec, alpha)
+                assert plan_cost(build_plan(Paradigm.cpt(), equal)) == cost, (n, t, alpha)
+    assert cases > 3000

@@ -12,16 +12,19 @@ numpy's bundled OpenBLAS on x86-64.
 
 The corpus digests are sha256 over the little-endian int64 tokens of
 `make_corpus`; the eval pins are the exact per-version (ppl, nll) floats
-of the same tiny runs.
+of the same tiny runs.  The run-output digests are sha256 over the report
+and manifest files that a tiny two-paradigm `lrpath run` writes.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from lrpath.cli import parse_paradigm
+from lrpath.cli import main, parse_paradigm
+from lrpath.lineage import load_manifest, load_payload
 from lrpath.paradigm import (
     DecayProfile,
     build_plan,
@@ -125,6 +128,15 @@ EVAL_PINS_FLOAT32 = {
     },
 }
 
+# file under `lrpath run --out` -> sha256 of its bytes, for RUN_DOC
+RUN_OUTPUT_DIGESTS = {
+    "report.json": "5165e6f7c299fa68f13e058c1778009ec15a0a4aa648ca5376503c80da3d56c4",
+    "cpt-reset_max/report.json": "e6a88ab77b612f63664cdb37a46224ebeaf196c9903326a03305c661045fb826",
+    "cpt-reset_max/seed0/manifest.json": "2963a279b8dd06793d81313c1dc7d3ea0b2d958169cd561ee3300f74c01ec3f1",
+    "path_switch-0.6/report.json": "541b06afd863031b7bf0981400d5fb286f6b4e1aef3218cbfe703bc190055e11",
+    "path_switch-0.6/seed0/manifest.json": "c4a5af811c9e8399563415df2fa45367fd1ecb61bf794cc23dc267e65ac57988",
+}
+
 SPEC = uniform_spec(3, 40, ScheduleConfig(ScheduleKind.COSINE, 1e-2, 1e-3, 4, 40))
 RUN_CFG = RunConfig(
     model=ToyModelConfig(
@@ -137,6 +149,18 @@ RUN_CFG = RunConfig(
 RUN_CFG_FLOAT32 = dataclasses.replace(
     RUN_CFG, model=dataclasses.replace(RUN_CFG.model, dtype="float32")
 )
+# the float32 default model of RUN_CFG, as an `lrpath run` config
+RUN_DOC = {
+    "paradigms": ["cpt:reset_max", "path_switch:0.6"],
+    "num_versions": 3,
+    "steps_per_version": 40,
+    "schedule": {"kind": "cosine", "eta_max": 1e-2, "eta_min": 1e-3, "warmup_steps": 4},
+    "seeds": [0],
+    "model": {"vocab_size": 64, "context_len": 4, "embed_dim": 8, "hidden_dim": 16, "batch_size": 8},
+    "tokens_per_step": 16,
+    "heldout_tokens": 2000,
+    "log_stride": 10,
+}
 
 
 def lr_digest(profile, num_steps: int) -> str:
@@ -197,3 +221,34 @@ def test_corpus_bits(seed, size):
 def test_eval_bits(label, cfg, pins):
     results, _ = run_single(_plan(label), cfg, 0)
     assert {v: (r.ppl, r.nll) for v, r in results.items()} == pins[label]
+
+
+@pytest.fixture(scope="module")
+def run_out(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run")
+    (root / "config.json").write_text(json.dumps(RUN_DOC), encoding="utf-8")
+    assert main(["run", str(root / "config.json"), "--out", str(root / "out")]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize("name", list(RUN_OUTPUT_DIGESTS))
+def test_run_output_bytes(run_out, name):
+    digest = hashlib.sha256((run_out / name).read_bytes()).hexdigest()
+    assert digest == RUN_OUTPUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("label", RUN_DOC["paradigms"])
+def test_global_step_is_lineage_steps(run_out, label):
+    # a checkpoint's step counts every optimizer step since its fresh init
+    run_dir = run_out / label.replace(":", "-") / "seed0"
+    manifest = load_manifest(run_dir / "manifest.json")
+    plan = build_plan(parse_paradigm(label), manifest.spec)
+    records = {r.ckpt_id: r for r in manifest.records}
+    for rec in manifest.records:
+        steps, cur = 0, rec
+        while cur is not None:
+            steps += plan.phase(cur.phase_id).num_steps
+            cur = records.get(cur.parent)
+        _, seed, header_step = load_payload(run_dir / rec.payload_file)
+        assert rec.global_step == steps == header_step, rec.ckpt_id
+        assert seed == 0

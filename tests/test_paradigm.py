@@ -233,8 +233,8 @@ class TestEqualizeCptCost:
     def test_remainder_goes_to_earliest(self):
         spec = uniform_spec(3, 1001, BASE.replace(warmup_steps=100))
         out = equalize_cpt_cost(spec, 0.5)
-        # total = 3003 + round(0.5*2002) = 4004 -> 1335, 1335, 1334
-        assert sum(out.increments) == 4004
+        # total = 3003 + 2 * floor(0.5*1001) = 4003 -> 1335, 1334, 1334
+        assert sum(out.increments) == plan_cost(build_plan(Paradigm.path_switch(0.5), spec))
         assert out.increments[0] >= out.increments[-1]
 
 
@@ -460,6 +460,42 @@ class TestSerialization:
         doc["phases"][0]["data_segments"] = [ref]
         with pytest.raises(SchemaMismatch, match=re.escape(f"segment id {ref!r}")):
             plan_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["phases"][0].update(num_steps=150.5),
+            lambda d: d["phases"][0].update(version=True),
+            lambda d: d["phases"][1]["lr"].update(length=150.5),
+            lambda d: d["phases"][0].update(emits_version_checkpoint="false"),
+            lambda d: d["phases"][0]["lr"].update(hold_min=0),
+            lambda d: d["spec"].update(num_versions=2.5),
+            lambda d: d["spec"].update(increments=[300.5, 300]),
+            lambda d: d["spec"].update(seed=0.5),
+            lambda d: d["spec"]["base_schedule"].update(horizon=10_000.5),
+            lambda d: d["spec"]["base_schedule"].update(warmup_steps=False),
+        ],
+        ids=["num_steps", "bool_version", "decay_length", "string_bool", "int_bool",
+             "num_versions", "increment", "seed", "horizon", "bool_warmup"],
+    )
+    def test_non_integer_count_rejected(self, edit):
+        # int() or bool() would truncate or coerce each of these
+        with pytest.raises(SchemaMismatch, match="malformed plan document"):
+            _plan_doc(edit)
+
+    def test_non_integer_count_rejected_in_manifest(self):
+        with pytest.raises(SchemaMismatch, match="malformed manifest document"):
+            _manifest_doc(lambda d: d["spec"].update(increments=[300, 300.5]))
+
+    def test_integral_floats_load(self):
+        # JSON writers may emit 3e2 for 300
+        def edit(d):
+            d["phases"][0].update(num_steps=150.0)
+            d["spec"].update(increments=[3e2, 300.0])
+            d["spec"]["base_schedule"].update(horizon=1e4)
+
+        plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+        assert _plan_doc(edit) == plan
 
     @pytest.mark.parametrize("steps", [100, 100_000])
     def test_json_size_independent_of_steps(self, steps):

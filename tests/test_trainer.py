@@ -22,7 +22,6 @@ from lrpath.trainer import (
     backward,
     evaluate_ppl,
     forward_loss,
-    init_adam,
     init_model,
     make_corpus,
     sample_windows,
@@ -44,6 +43,15 @@ class TestModelSetup:
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
             ToyModelConfig(vocab_size=0, context_len=4, embed_dim=8, hidden_dim=8, batch_size=8)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hidden_dim", 16.5), ("hidden_dim", 16.0), ("batch_size", True), ("embed_dim", "8")],
+    )
+    def test_sizes_are_integers(self, field, value):
+        # a float size would pass here and fail inside numpy mid-run
+        with pytest.raises(InvalidConfig, match=f"{field} must be a positive integer"):
+            ToyModelConfig(**{field: value})
 
     @pytest.mark.parametrize("dtype", ["float16", "int32", np.float32])
     def test_dtype_validation(self, dtype):
@@ -135,8 +143,7 @@ def adam_first_step(g: float, lr: float):
     Returns (params before, params after, first moment after).
     """
     model = init_model(TINY, seed=0)
-    adam = init_adam(model)
-    p, m, v = model.flat.copy(), adam.m_flat.copy(), adam.v_flat.copy()
+    p, m, v = model.flat.copy(), model.m.copy(), model.v.copy()
     _adam_apply(p, m, v, 1, np.full_like(p, g), lr)
     return model.flat, p, m
 
@@ -176,9 +183,8 @@ class TestTrainPhase:
         results = []
         for _ in range(2):
             model = init_model(TINY, seed=12)
-            adam = init_adam(model)
-            out_model, out_adam, trace = train_phase(model, adam, phase, data, run_seed=12)
-            results.append((out_model.flat.copy(), out_adam.m_flat.copy(), trace))
+            out, trace = train_phase(model, phase, data, run_seed=12)
+            results.append((out.flat.copy(), out.m.copy(), trace))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
         assert results[0][2] == results[1][2]
@@ -188,15 +194,14 @@ class TestTrainPhase:
         phase = self.plan().phases[0]
         data = make_corpus(5, 40 * 64 + TINY.context_len + 1) % TINY.vocab_size
         model = init_model(TINY, seed=12)
-        adam = init_adam(model)
-        flat, m, v, t = model.flat.copy(), adam.m_flat.copy(), adam.v_flat.copy(), adam.t
-        out_model, out_adam, _ = train_phase(model, adam, phase, data, run_seed=12)
+        flat, m, v, t = model.flat.copy(), model.m.copy(), model.v.copy(), model.t
+        out, _ = train_phase(model, phase, data, run_seed=12)
         np.testing.assert_array_equal(model.flat, flat)
-        np.testing.assert_array_equal(adam.m_flat, m)
-        np.testing.assert_array_equal(adam.v_flat, v)
-        assert adam.t == t
-        assert out_adam.t == adam.t + phase.num_steps
-        assert not np.array_equal(out_model.flat, flat)
+        np.testing.assert_array_equal(model.m, m)
+        np.testing.assert_array_equal(model.v, v)
+        assert model.t == t
+        assert out.t == model.t + phase.num_steps
+        assert not np.array_equal(out.flat, flat)
 
     def test_non_finite_update_names_phase_and_step(self):
         cfg = ScheduleConfig(ScheduleKind.CONSTANT, 1e300, 1e300, 0, INFINITE)
@@ -204,22 +209,21 @@ class TestTrainPhase:
         data = make_corpus(5, 40 * 64 + TINY.context_len + 1) % TINY.vocab_size
         model = init_model(TINY, seed=12)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdate, match=r"phase v1-scratch, step \d+"):
-            train_phase(model, init_adam(model), phase, data, run_seed=12)
+            train_phase(model, phase, data, run_seed=12)
 
     def test_data_shorter_than_window(self):
         phase = self.plan().phases[0]
         data = make_corpus(5, TINY.context_len) % TINY.vocab_size
         model = init_model(TINY, seed=12)
         with pytest.raises(DataExhausted, match="phase v1-scratch"):
-            train_phase(model, init_adam(model), phase, data, run_seed=12)
+            train_phase(model, phase, data, run_seed=12)
 
     def test_trace_lrs_match_schedule(self):
         plan = self.plan()
         phase = plan.phases[0]
         data = make_corpus(5, 40 * 64 + TINY.context_len + 1) % TINY.vocab_size
         model = init_model(TINY, seed=12)
-        adam = init_adam(model)
-        _, _, trace = train_phase(model, adam, phase, data, run_seed=12, log_stride=10)
+        _, trace = train_phase(model, phase, data, run_seed=12, log_stride=10)
         steps = [row[0] for row in trace]
         assert steps == [0, 10, 20, 30, 39]
         for step, lr, _loss in trace:
@@ -230,8 +234,7 @@ class TestTrainPhase:
         phase = build_plan(Paradigm.ptfs(), spec).phases[0]
         data = make_corpus(9, 300 * 64 + TINY.context_len + 1) % TINY.vocab_size
         model = init_model(TINY, seed=9)
-        adam = init_adam(model)
-        _, _, trace = train_phase(model, adam, phase, data, run_seed=9)
+        _, trace = train_phase(model, phase, data, run_seed=9)
         assert trace[-1][2] < trace[0][2] - 0.1
 
 
@@ -273,10 +276,10 @@ class TestFloat32:
         phase = build_plan(Paradigm.ptfs(), uniform_spec(1, 40, SCHED, seed=12)).phases[0]
         data = make_corpus(5, 40 * 64 + cfg.context_len + 1) % cfg.vocab_size
         model = init_model(cfg, seed=12)
-        out_model, out_adam, _ = train_phase(model, init_adam(model), phase, data, run_seed=12)
+        out, _ = train_phase(model, phase, data, run_seed=12)
         # params, m, v, gradient and scratch buffers, at every step
         assert seen == [{np.dtype(np.float32)}] * phase.num_steps
-        for arr in (out_model.flat, out_adam.m_flat, out_adam.v_flat):
+        for arr in (out.flat, out.m, out.v):
             assert arr.dtype == np.float32
 
 
