@@ -15,26 +15,14 @@ from pathlib import Path
 
 from . import cost as cost_mod
 from . import schedule as sched
-from .errors import InvalidSpec, LrPathError
-from .paradigm import (
-    CptVariant,
-    Paradigm,
-    UpdateSpec,
-    build_plan,
-    plan_to_json,
-)
-from .schedule import INFINITE, ScheduleConfig, ScheduleKind, json_int
-from .trainer import RunConfig, ToyModelConfig, run_experiment
+from .errors import LrPathError, SchemaMismatch
+from .paradigm import Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_to_json
+from .schedule import INFINITE, JsonObject, ScheduleConfig, ScheduleKind, schema_error
+from .trainer import run_config_from_dict, run_experiment
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-RUN_CONFIG_KEYS = frozenset({
-    "paradigms", "num_versions", "steps_per_version", "schedule", "seeds", "model",
-    "tokens_per_step", "heldout_tokens", "corpus_file", "log_stride",
-})
-
 
 def _parse_horizon(text: str) -> float:
     if text.lower() in ("inf", "infinite", "+inf"):
@@ -58,27 +46,6 @@ def _parse_jobs(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
-
-
-def parse_paradigm(text: str) -> Paradigm:
-    """Parse CLI paradigm labels: ptfs, cpt:<variant>, path_switch:<alpha>.
-
-    Raises InvalidSpec for any other label.
-    """
-    name, _, arg = text.partition(":")
-    name = name.replace("-", "_")
-    if name == "ptfs":
-        return Paradigm.ptfs()
-    if name == "path_switch" and not arg:
-        raise InvalidSpec("path_switch requires an alpha, e.g. path_switch:0.6")
-    try:
-        if name == "cpt":
-            return Paradigm.cpt(CptVariant(arg.replace("-", "_") or CptVariant.RESET_MAX))
-        if name == "path_switch":
-            return Paradigm.path_switch(float(arg))
-    except ValueError as exc:
-        raise InvalidSpec(f"paradigm {text!r}: {exc}") from exc
-    raise InvalidSpec(f"unknown paradigm {text!r}")
 
 
 def _schedule_from_args(args) -> ScheduleConfig:
@@ -156,11 +123,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _load_run_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _run_one(payload):
     # Top-level so a process pool can pickle it.
     label, plan, run_cfg, seeds, out_dir = payload
@@ -170,48 +132,19 @@ def _run_one(payload):
 
 def cmd_run(args) -> int:
     try:
-        cfg = _load_run_config(args.config)
+        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        if not isinstance(cfg, dict):
-            raise TypeError(f"a run config is a JSON object, not {type(cfg).__name__}")
-        unknown = sorted(set(cfg) - RUN_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-        paradigms = [parse_paradigm(p) for p in cfg["paradigms"]]
-        if not paradigms:
-            raise ValueError("at least one paradigm is required")
-        schedule_cfg = sched.config_from_dict(cfg["schedule"])
-        num_versions = json_int(cfg["num_versions"], "num_versions")
-        steps = cfg["steps_per_version"]
-        if not isinstance(steps, list):
-            steps = [steps] * num_versions
-        spec = UpdateSpec(
-            num_versions=num_versions,
-            increments=tuple(json_int(s, "steps_per_version") for s in steps),
-            base_schedule=schedule_cfg,
-        )
-        model = {k: v if k == "dtype" else json_int(v, k) for k, v in cfg.get("model", {}).items()}
-        run_cfg = RunConfig(
-            model=ToyModelConfig(**model),
-            tokens_per_step=json_int(cfg.get("tokens_per_step", 64), "tokens_per_step"),
-            heldout_tokens=json_int(cfg.get("heldout_tokens", 50_000), "heldout_tokens"),
-            corpus_file=cfg.get("corpus_file"),
-            log_stride=json_int(cfg.get("log_stride", 100), "log_stride"),
-        )
-        seeds = [json_int(s, "seed") for s in cfg.get("seeds", [0])]
-        out_dir = Path(args.out)
-        if run_cfg.corpus_file and not Path(run_cfg.corpus_file).exists():
-            raise ValueError(f"corpus file {run_cfg.corpus_file!r} does not exist")
+        paradigms, spec, run_cfg, seeds = run_config_from_dict(cfg)
         plans = [(p.label, build_plan(p, spec)) for p in paradigms]
-    except (KeyError, ValueError, TypeError, AttributeError, LrPathError) as exc:
-        # AttributeError: a "schedule" that is not an object
+    except LrPathError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    out_dir = Path(args.out)
     jobs = [
         (label, plan, run_cfg, seeds, out_dir / label.replace(":", "-"))
         for label, plan in plans
@@ -238,33 +171,47 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+_REPORT_KEYS = frozenset({"paradigm", "seeds", "total_steps", "versions"})
+_VERSION_KEYS = frozenset({"ppl", "nll", "mean_ppl"})
+
+
+def _mean_ppls(d: dict, at: tuple, key) -> dict[int, float]:
+    o = JsonObject(d, at, key)
+    for v in d:
+        if not v.isdecimal():
+            raise schema_error(o.at, v, "expected a version number as key")
+    return {int(v): JsonObject(d[v], o.at, v, _VERSION_KEYS).float("mean_ppl") for v in d}
+
+
+def _report_from_dict(d: dict, at: tuple, key) -> tuple[str, int, dict[int, float]]:
+    """One paradigm's report.json: its label, steps and mean ppl by version."""
+    o = JsonObject(d, at, key, _REPORT_KEYS)
+    return o.str("paradigm"), o.int("total_steps"), o.object("versions", _mean_ppls)
+
+
 def cmd_compare(args) -> int:
-    merged: dict[str, dict] = {}
+    merged: dict[str, tuple[int, dict[int, float]]] = {}
     try:
         for path in args.reports:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            # Accept both a single-experiment report and a run summary.
-            if "versions" in doc:
-                merged[doc["paradigm"]] = doc
+                o = JsonObject(json.load(fh), (f"report {path}",))
+            # one paradigm's report, or a run summary of them by label
+            if "versions" in o.fields:
+                reports = [_report_from_dict(o.fields, o.at, None)]
             else:
-                merged.update(doc)
-        versions = sorted(
-            {int(v) for doc in merged.values() for v in doc["versions"]}
-        )
-        rows = []
-        for label in sorted(merged):
-            doc = merged[label]
-            row = [label, str(doc["total_steps"])]
-            for v in versions:
-                entry = doc["versions"].get(str(v))
-                row.append(f"{entry['mean_ppl']:.3f}" if entry else "-")
-            rows.append(row)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        # a JSON document of another shape fails anywhere in the lookups
+                reports = [o.object(label, _report_from_dict) for label in o.fields]
+            merged.update((label, (steps, ppls)) for label, steps, ppls in reports)
+    except (OSError, json.JSONDecodeError, SchemaMismatch) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    versions = sorted({v for _, ppls in merged.values() for v in ppls})
+    rows = []
+    for label in sorted(merged):
+        steps, ppls = merged[label]
+        row = [label, str(steps)]
+        row.extend(f"{ppls[v]:.3f}" if v in ppls else "-" for v in versions)
+        rows.append(row)
     header = ["paradigm", "steps"] + [f"V{v}" for v in versions]
     sys.stdout.write(_render_table(header, rows, args.format))
     return EXIT_OK

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SchemaMismatch
-from .paradigm import UpdateSpec, segment_steps, spec_from_dict, spec_to_dict
+from .paradigm import PathKind, UpdateSpec, segment_steps, spec_from_dict, spec_to_dict
+from .schedule import JsonObject
 
 MANIFEST_FORMAT_VERSION = 2
 PAYLOAD_MAGIC = b"LRPC"
@@ -89,37 +90,64 @@ def manifest_to_dict(m: Manifest) -> dict:
     }
 
 
+_MANIFEST_KEYS = frozenset({"format_version", "spec", "segments", "records"})
+_SEGMENT_KEYS = frozenset(f.name for f in dataclasses.fields(DataSegment))
+_RECORD_KEYS = frozenset(f.name for f in dataclasses.fields(CheckpointRecord))
+_METRICS_KEYS = frozenset({"ppl", "nll", "tokens_evaluated"})
+
+
+def _segment_from_dict(d: dict, at: tuple, key) -> DataSegment:
+    o = JsonObject(d, at, key, _SEGMENT_KEYS)
+    return DataSegment(
+        o.str("segment_id"), o.int("start_offset", minimum=0), o.int("length", minimum=0)
+    )
+
+
+def _metrics_from_dict(d: dict, at: tuple, key) -> dict:
+    o = JsonObject(d, at, key, _METRICS_KEYS)
+    return {k: o.int(k, minimum=0) if k == "tokens_evaluated" else o.float(k) for k in d}
+
+
+def _record_from_dict(d: dict, at: tuple, key) -> CheckpointRecord:
+    o = JsonObject(d, at, key, _RECORD_KEYS)
+    return CheckpointRecord(
+        ckpt_id=o.str("ckpt_id"),
+        phase_id=o.str("phase_id"),
+        version=o.int("version", minimum=0),
+        path=o.enum("path", PathKind).value,
+        parent=o.str("parent", nullable=True),
+        global_step=o.int("global_step", minimum=0),
+        metrics=(
+            None if o.fields.get("metrics") is None else o.object("metrics", _metrics_from_dict)
+        ),
+        payload_file=o.str("payload_file", ""),
+    )
+
+
 def manifest_from_dict(d: dict) -> Manifest:
     """Read a manifest document; its records must form a lineage.
 
     Every record names a new `ckpt_id` and a `parent` that is None or an
     earlier record, the order `run_single` writes them in.
     """
-    if not isinstance(d, dict):
-        raise SchemaMismatch(f"a manifest document is a JSON object, not {type(d).__name__}")
-    if d.get("format_version") != MANIFEST_FORMAT_VERSION:
-        raise SchemaMismatch(
-            f"unsupported manifest format_version {d.get('format_version')!r}"
-        )
-    try:
-        m = Manifest(
-            spec=spec_from_dict(d["spec"]),
-            records=[CheckpointRecord(**r) for r in d["records"]],
-            segments=[DataSegment(**s) for s in d["segments"]],
-        )
-        seen: set[str] = set()
-        for rec in m.records:
-            if rec.ckpt_id in seen:
-                raise SchemaMismatch(f"manifest repeats checkpoint {rec.ckpt_id!r}")
-            if rec.parent is not None and rec.parent not in seen:
-                raise SchemaMismatch(
-                    f"{rec.ckpt_id}: parent {rec.parent!r} is not an earlier record"
-                )
-            seen.add(rec.ckpt_id)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        # TypeError also covers an unhashable id in the lineage check;
-        # AttributeError a nested spec or schedule of another type
-        raise SchemaMismatch(f"malformed manifest document: {exc!r}") from exc
+    o = JsonObject(d, ("manifest document",), None, _MANIFEST_KEYS)
+    version = o.fields.get("format_version")
+    if version != MANIFEST_FORMAT_VERSION:
+        raise SchemaMismatch(f"unsupported manifest format_version {version!r}")
+    m = Manifest(
+        spec=o.object("spec", spec_from_dict),
+        records=o.list("records", _record_from_dict),
+        segments=o.list("segments", _segment_from_dict),
+    )
+    seen: set[str] = set()
+    for rec in m.records:
+        if rec.ckpt_id in seen:
+            raise SchemaMismatch(f"manifest repeats checkpoint {rec.ckpt_id!r}")
+        if rec.parent is not None and rec.parent not in seen:
+            raise SchemaMismatch(
+                f"{rec.ckpt_id}: parent {rec.parent!r} is not an earlier record"
+            )
+        seen.add(rec.ckpt_id)
     return m
 
 

@@ -28,12 +28,13 @@ from .errors import (
 from .schedule import (
     DECAYING_KINDS,
     INFINITE,
+    JsonObject,
     ScheduleConfig,
     ScheduleKind,
     decay_lr,
-    json_bool,
     json_int,
     lr_at,
+    schema_error,
 )
 
 PLAN_FORMAT_VERSION = 3
@@ -89,6 +90,28 @@ class Paradigm:
         if self.family == "path_switch":
             return f"path_switch:{self.alpha:g}"
         return self.family
+
+
+def parse_paradigm(text: str) -> Paradigm:
+    """Parse a paradigm label as `lrpath plan` and run configs write it:
+    ptfs, cpt:<variant>, path_switch:<alpha>.
+
+    Raises InvalidSpec for any other label.
+    """
+    name, _, arg = text.partition(":")
+    name = name.replace("-", "_")
+    if name == "ptfs":
+        return Paradigm.ptfs()
+    if name == "path_switch" and not arg:
+        raise InvalidSpec("path_switch requires an alpha, e.g. path_switch:0.6")
+    try:
+        if name == "cpt":
+            return Paradigm.cpt(CptVariant(arg.replace("-", "_") or CptVariant.RESET_MAX))
+        if name == "path_switch":
+            return Paradigm.path_switch(float(arg))
+    except ValueError as exc:
+        raise InvalidSpec(f"paradigm {text!r}: {exc}") from exc
+    raise InvalidSpec(f"unknown paradigm {text!r}")
 
 
 @dataclass(frozen=True)
@@ -214,12 +237,6 @@ class TrainingPlan:
     paradigm: Paradigm
     spec: UpdateSpec
     phases: tuple[Phase, ...]
-
-    def phase(self, phase_id: str) -> Phase:
-        for p in self.phases:
-            if p.phase_id == phase_id:
-                return p
-        raise KeyError(phase_id)
 
 
 def _constant_profile(base: ScheduleConfig, warmup: int) -> ScheduleProfile:
@@ -554,12 +571,13 @@ def paradigm_to_dict(p: Paradigm) -> dict:
     return d
 
 
-def paradigm_from_dict(d: dict) -> Paradigm:
-    return Paradigm(
-        family=d["family"],
-        variant=CptVariant(d["variant"]) if "variant" in d else None,
-        alpha=d.get("alpha"),
-    )
+_PARADIGM_KEYS = frozenset({"family", "variant", "alpha"})
+_SPEC_KEYS = frozenset({"num_versions", "increments", "base_schedule", "seed"})
+
+
+def paradigm_from_dict(d: dict, at: tuple = ("paradigm",), key=None) -> Paradigm:
+    o = JsonObject(d, at, key, _PARADIGM_KEYS)
+    return Paradigm(o.str("family"), o.enum("variant", CptVariant, None), o.float("alpha", None))
 
 
 def spec_to_dict(spec: UpdateSpec) -> dict:
@@ -571,12 +589,13 @@ def spec_to_dict(spec: UpdateSpec) -> dict:
     }
 
 
-def spec_from_dict(d: dict) -> UpdateSpec:
+def spec_from_dict(d: dict, at: tuple = ("update spec",), key=None) -> UpdateSpec:
+    o = JsonObject(d, at, key, _SPEC_KEYS)
     return UpdateSpec(
-        num_versions=json_int(d["num_versions"], "num_versions"),
-        increments=tuple(json_int(t, "increment") for t in d["increments"]),
-        base_schedule=sched.config_from_dict(d["base_schedule"]),
-        seed=json_int(d.get("seed", 0), "seed"),
+        num_versions=o.int("num_versions"),
+        increments=tuple(o.list("increments", json_int)),
+        base_schedule=o.object("base_schedule", sched.config_from_dict),
+        seed=o.int("seed", 0),
     )
 
 
@@ -594,13 +613,22 @@ def _profile_to_dict(profile: LRProfile) -> dict:
     }
 
 
-def _profile_from_dict(d: dict) -> LRProfile:
-    cfg = sched.config_from_dict(d["config"])
-    if d["type"] == "decay":
-        return DecayProfile(cfg, json_int(d["length"], "decay length"))
-    if d["type"] == "schedule":
-        return ScheduleProfile(cfg, json_bool(d["hold_min"], "hold_min"))
-    raise SchemaMismatch(f"unknown lr profile type {d['type']!r}")
+_PROFILE_KEYS = {
+    "decay": frozenset({"type", "config", "length"}),
+    "schedule": frozenset({"type", "config", "hold_min"}),
+}
+
+
+def _profile_from_dict(d: dict, at: tuple, key) -> LRProfile:
+    o = JsonObject(d, at, key)
+    kind = o.str("type")
+    if kind not in _PROFILE_KEYS:
+        raise schema_error(o.at, "type", f"unknown lr profile type {kind!r}")
+    o.only(_PROFILE_KEYS[kind])
+    cfg = o.object("config", sched.config_from_dict)
+    if kind == "decay":
+        return DecayProfile(cfg, o.int("length"))
+    return ScheduleProfile(cfg, o.bool("hold_min"))
 
 
 def plan_to_dict(plan: TrainingPlan) -> dict:
@@ -629,47 +657,45 @@ def plan_to_json(plan: TrainingPlan) -> str:
 
 
 _SEGMENT_ID = re.compile(r"inc([1-9][0-9]*)/(full|prefix|remainder)")
+_PHASE_KEYS = frozenset({
+    "phase_id", "version", "path", "init_from", "num_steps", "lr", "data_segments",
+    "emits_version_checkpoint",
+})
+_PLAN_KEYS = frozenset({"format_version", "paradigm", "spec", "phases"})
 
 
-def _segment_ref_from_id(ref_id) -> SegmentRef:
+def _segment_ref_from_id(ref_id, at: tuple, key) -> SegmentRef:
     """Inverse of `SegmentRef.ref_id`; anything else is not a segment id."""
-    match = _SEGMENT_ID.fullmatch(ref_id) if isinstance(ref_id, str) else None
+    match = _SEGMENT_ID.fullmatch(ref_id) if type(ref_id) is str else None
     if match is None:
-        raise SchemaMismatch(
-            f"malformed plan document: segment id {ref_id!r} is not "
-            "inc<n>/full, inc<n>/prefix or inc<n>/remainder"
+        raise schema_error(
+            at, key,
+            f"segment id {ref_id!r} is not inc<n>/full, inc<n>/prefix or inc<n>/remainder",
         )
     return SegmentRef(int(match[1]), match[2])
 
 
+def _phase_from_dict(d: dict, at: tuple, key) -> Phase:
+    o = JsonObject(d, at, key, _PHASE_KEYS)
+    return Phase(
+        phase_id=o.str("phase_id"),
+        version=o.int("version"),
+        path=o.enum("path", PathKind),
+        init_from=o.str("init_from", nullable=True),
+        num_steps=o.int("num_steps"),
+        lr_profile=o.object("lr", _profile_from_dict),
+        data_segments=tuple(o.list("data_segments", _segment_ref_from_id)),
+        emits_version_checkpoint=o.bool("emits_version_checkpoint"),
+    )
+
+
 def plan_from_dict(d: dict) -> TrainingPlan:
-    if not isinstance(d, dict):
-        raise SchemaMismatch(f"a plan document is a JSON object, not {type(d).__name__}")
-    if d.get("format_version") != PLAN_FORMAT_VERSION:
-        raise SchemaMismatch(
-            f"unsupported plan format_version {d.get('format_version')!r}"
-        )
-    try:
-        phases = tuple(
-            Phase(
-                phase_id=p["phase_id"],
-                version=json_int(p["version"], "version"),
-                path=PathKind(p["path"]),
-                init_from=p["init_from"],
-                num_steps=json_int(p["num_steps"], "num_steps"),
-                lr_profile=_profile_from_dict(p["lr"]),
-                data_segments=tuple(_segment_ref_from_id(r) for r in p["data_segments"]),
-                emits_version_checkpoint=json_bool(
-                    p["emits_version_checkpoint"], "emits_version_checkpoint"
-                ),
-            )
-            for p in d["phases"]
-        )
-        return TrainingPlan(
-            paradigm=paradigm_from_dict(d["paradigm"]),
-            spec=spec_from_dict(d["spec"]),
-            phases=phases,
-        )
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        # AttributeError: a nested object (paradigm, spec, schedule) of another type
-        raise SchemaMismatch(f"malformed plan document: {exc!r}") from exc
+    o = JsonObject(d, ("plan document",), None, _PLAN_KEYS)
+    version = o.fields.get("format_version")
+    if version != PLAN_FORMAT_VERSION:
+        raise SchemaMismatch(f"unsupported plan format_version {version!r}")
+    return TrainingPlan(
+        paradigm=o.object("paradigm", paradigm_from_dict),
+        spec=o.object("spec", spec_from_dict),
+        phases=tuple(o.list("phases", _phase_from_dict)),
+    )

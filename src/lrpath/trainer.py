@@ -33,7 +33,10 @@ from .lineage import (
     save_manifest,
     save_payload,
 )
-from .paradigm import Phase, TrainingPlan, plan_cost, validate_plan
+from .paradigm import (
+    Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, plan_cost, validate_plan,
+)
+from .schedule import JsonObject, config_from_dict, json_int, json_str
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
@@ -423,6 +426,62 @@ class RunConfig:
                 f"heldout_tokens ({self.heldout_tokens}) must hold one "
                 f"evaluation window ({window} tokens)"
             )
+
+
+_MODEL_KEYS = frozenset(f.name for f in dataclasses.fields(ToyModelConfig))
+# a run config holds the scenario, the seeds and the fields of a RunConfig
+_RUN_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig)) | {
+    "paradigms", "num_versions", "steps_per_version", "schedule", "seeds",
+}
+
+
+def _model_from_dict(d: dict, at: tuple, key) -> ToyModelConfig:
+    o = JsonObject(d, at, key, _MODEL_KEYS)
+    return ToyModelConfig(**{k: o.str(k) if k == "dtype" else o.int(k) for k in d})
+
+
+def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig, list[int]]:
+    """Read an `lrpath run` config: its paradigms, the scenario they share,
+    the run settings and the seeds.
+
+    Paradigms and seeds are lists without repeats, since each names an
+    output directory; a seed also lies in [0, 2**64), the payload header's
+    range.
+    """
+    o = JsonObject(d, ("run config",), None, _RUN_CONFIG_KEYS)
+    texts = o.list("paradigms", json_str)
+    paradigms = [parse_paradigm(t) for t in texts]
+    if not paradigms:
+        raise InvalidConfig("at least one paradigm is required")
+    num_versions = o.int("num_versions")
+    if type(o.fields.get("steps_per_version")) is list:
+        steps = o.list("steps_per_version", json_int)
+    else:
+        steps = [o.int("steps_per_version")] * num_versions
+    spec = UpdateSpec(num_versions, tuple(steps), o.object("schedule", config_from_dict))
+    run_cfg = RunConfig(
+        model=o.object("model", _model_from_dict, ToyModelConfig()),
+        tokens_per_step=o.int("tokens_per_step", 64),
+        heldout_tokens=o.int("heldout_tokens", 50_000),
+        corpus_file=o.str("corpus_file", None, nullable=True),
+        log_stride=o.int("log_stride", 100),
+    )
+    seeds = o.list("seeds", json_int, default=[0])
+    if not seeds:
+        raise InvalidConfig("at least one seed is required")
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise InvalidConfig(f"seed {seed} lies outside [0, 2**64)")
+        if seeds.count(seed) > 1:
+            raise InvalidConfig(f"seed {seed} is listed more than once")
+    labels = [p.label for p in paradigms]
+    for label in labels:
+        if labels.count(label) > 1:
+            same = ", ".join(repr(t) for t, other in zip(texts, labels) if other == label)
+            raise InvalidConfig(f"paradigm {label!r} is listed more than once: {same}")
+    if run_cfg.corpus_file and not Path(run_cfg.corpus_file).exists():
+        raise InvalidConfig(f"corpus file {run_cfg.corpus_file!r} does not exist")
+    return paradigms, spec, run_cfg, seeds
 
 
 def run_single(

@@ -215,6 +215,27 @@ class TestRun:
         assert "invalid config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [({"seeds": []}, "at least one seed is required"),
+         ({"seeds": [-1]}, "seed -1 lies outside [0, 2**64)"),
+         ({"seeds": [2**64]}, f"seed {2**64} lies outside [0, 2**64)"),
+         ({"seeds": [0, 1, 0]}, "seed 0 is listed more than once"),
+         ({"paradigms": ["ptfs", "ptfs"]}, "paradigm 'ptfs' is listed more than once: 'ptfs', 'ptfs'"),
+         ({"paradigms": ["cpt", "cpt:reset_max"]},
+          "paradigm 'cpt:reset_max' is listed more than once: 'cpt', 'cpt:reset_max'")],
+        ids=["no_seeds", "negative_seed", "seed_too_large", "repeated_seed", "repeated_paradigm",
+             "repeated_label"],
+    )
+    def test_seeds_and_repeats_rejected(self, tmp_path, capsys, override, message):
+        # each seed and paradigm names an output directory, and a payload
+        # header holds a seed in 64 bits
+        out = tmp_path / "o"
+        cfg = run_config(tmp_path, **override)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert f"invalid config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_floats_load(self, tmp_path):
         # JSON writers may emit 2e3 for 2000; the run is the same
         model = json.loads(run_config(tmp_path).read_text())["model"]

@@ -1,0 +1,187 @@
+"""The document readers: plans, manifests and run configs read from JSON.
+
+A loader either returns what the document describes or raises
+SchemaMismatch naming the path of the bad value; construction errors
+(InvalidConfig, InvalidSpec, PlanViolation) pass through as they are.  It
+never raises a bare built-in exception.
+"""
+
+import copy
+import re
+
+import pytest
+
+from lrpath.errors import InvalidConfig, InvalidSpec, PlanViolation, SchemaMismatch
+from lrpath.lineage import (
+    CheckpointRecord,
+    Manifest,
+    allocate_segments,
+    manifest_from_dict,
+    manifest_to_dict,
+)
+from lrpath.paradigm import (
+    CptVariant,
+    Paradigm,
+    build_plan,
+    plan_from_dict,
+    plan_to_dict,
+    uniform_spec,
+    validate_plan,
+)
+from lrpath.schedule import ScheduleConfig, ScheduleKind
+from lrpath.trainer import run_config_from_dict
+
+SPEC = uniform_spec(3, 300, ScheduleConfig(ScheduleKind.KNEE, 3e-4, 3e-5, 50, 1000))
+
+
+def _plan(kind):
+    return plan_to_dict(build_plan(kind, SPEC))
+
+
+def _ptfs_plan():
+    return _plan(Paradigm.ptfs())
+
+
+def _manifest():
+    record = CheckpointRecord(
+        ckpt_id="v1-scratch#final",
+        phase_id="v1-scratch",
+        version=1,
+        path="scratch",
+        parent=None,
+        global_step=300,
+        metrics={"ppl": 40.5, "nll": 3.7, "tokens_evaluated": 1991},
+        payload_file="ckpt/v1-scratch_final.bin",
+    )
+    return manifest_to_dict(Manifest(SPEC, [record], allocate_segments(SPEC, 64)))
+
+
+def _run_config():
+    return {
+        "paradigms": ["ptfs", "path_switch:0.5"],
+        "num_versions": 2,
+        "steps_per_version": [30, 40],
+        "schedule": {"kind": "cosine", "eta_max": 1e-3, "eta_min": 1e-4, "warmup_steps": 5},
+        "seeds": [0, 1],
+        "model": {
+            "vocab_size": 32, "context_len": 4, "embed_dim": 8, "hidden_dim": 16,
+            "batch_size": 8, "dtype": "float32",
+        },
+        "tokens_per_step": 40,
+        "heldout_tokens": 2000,
+        "corpus_file": None,
+        "log_stride": 10,
+    }
+
+
+# A plan is read by plan_from_dict and checked by validate_plan, as run_single does.
+DOCUMENTS = {
+    "plan-ptfs": (_ptfs_plan, lambda d: validate_plan(plan_from_dict(d))),
+    "plan-cpt-keep_min": (
+        lambda: _plan(Paradigm.cpt(CptVariant.KEEP_MIN)),
+        lambda d: validate_plan(plan_from_dict(d)),
+    ),
+    "plan-path_switch-0.5": (
+        lambda: _plan(Paradigm.path_switch(0.5)),
+        lambda d: validate_plan(plan_from_dict(d)),
+    ),
+    "manifest": (_manifest, manifest_from_dict),
+    "run-config": (_run_config, run_config_from_dict),
+}
+SWAPS = [True, "x", "1", 1.5, None, [], {}]
+# fields where null is a valid value
+NULLABLE = {"init_from", "parent", "metrics", "horizon", "corpus_file"}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def _leaves(doc, path=()):
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, doc
+
+
+def _swapped(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_type_swap_fuzz(name):
+    make, load = DOCUMENTS[name]
+    doc = make()
+    load(copy.deepcopy(doc))  # the document itself is valid
+    loaded, bare, cases = [], [], 0
+    for path, leaf in _leaves(doc):
+        for value in SWAPS:
+            if _json_type(value) == _json_type(leaf) or (value is None and path[-1] in NULLABLE):
+                continue
+            cases += 1
+            try:
+                load(_swapped(doc, path, value))
+            except (SchemaMismatch, InvalidConfig, InvalidSpec, PlanViolation):
+                continue
+            except Exception as exc:
+                bare.append(f"{path} = {value!r}: {exc!r}")
+                continue
+            loaded.append(f"{path} = {value!r}")
+    assert cases > 50
+    assert not loaded, f"{len(loaded)} of {cases} swapped documents load: {loaded[:5]}"
+    assert not bare, f"{len(bare)} of {cases} raise a bare exception: {bare[:5]}"
+
+
+@pytest.mark.parametrize(
+    "make, load, path, value, message",
+    [
+        (_ptfs_plan, plan_from_dict, ("phases", 2, "lr", "config", "eta_max"), True,
+         "malformed plan document: phases[2].lr.config.eta_max: expected a number, got True"),
+        (_ptfs_plan, plan_from_dict, ("spec", "base_schedule", "eta_min"), "1e-5",
+         "malformed plan document: spec.base_schedule.eta_min: expected a number, got '1e-5'"),
+        (_ptfs_plan, plan_from_dict, ("phases", 0, "phase_id"), [],
+         "malformed plan document: phases[0].phase_id: expected a string, got []"),
+        (_ptfs_plan, plan_from_dict, ("phases", 1, "lr", "offset"), 0,
+         "malformed plan document: phases[1].lr: unknown key(s) 'offset'"),
+        (_ptfs_plan, plan_from_dict, ("phases", 1, "path"), "sideways",
+         "malformed plan document: phases[1].path: expected one of 'main', 'branch', 'scratch', "
+         "got 'sideways'"),
+        (_manifest, manifest_from_dict, ("records", 0, "global_step"), "12.5x",
+         "malformed manifest document: records[0].global_step: expected an integer >= 0, got '12.5x'"),
+        (_manifest, manifest_from_dict, ("records", 0, "version"), True,
+         "malformed manifest document: records[0].version: expected an integer >= 0, got True"),
+        (_manifest, manifest_from_dict, ("segments", 1, "start_offset"), -3,
+         "malformed manifest document: segments[1].start_offset: expected an integer >= 0, got -3"),
+        (_manifest, manifest_from_dict, ("segments", 2, "length"), "many",
+         "malformed manifest document: segments[2].length: expected an integer >= 0, got 'many'"),
+        (_manifest, manifest_from_dict, ("records", 0, "metrics", "ppl"), "40",
+         "malformed manifest document: records[0].metrics.ppl: expected a number, got '40'"),
+        (_run_config, run_config_from_dict, ("schedule", "warmup_step"), 200,
+         "malformed run config: schedule: unknown key(s) 'warmup_step'"),
+        (_run_config, run_config_from_dict, ("model", "hidden"), 16,
+         "malformed run config: model: unknown key(s) 'hidden'"),
+        (_run_config, run_config_from_dict, ("steps_per_version", 1), "40",
+         "malformed run config: steps_per_version[1]: expected an integer, got '40'"),
+        (_run_config, run_config_from_dict, ("schedule",), {"kind": "cosine"},
+         "malformed run config: schedule: missing key 'eta_max'"),
+    ],
+    ids=["plan_bool_rate", "plan_string_rate", "plan_list_id", "plan_nested_key", "plan_enum",
+         "manifest_step", "manifest_bool_version", "manifest_offset", "manifest_length",
+         "manifest_metrics", "run_nested_key", "run_model_key", "run_steps", "run_missing_key"],
+)
+def test_error_names_path(make, load, path, value, message):
+    with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+        load(_swapped(make(), path, value))

@@ -242,12 +242,12 @@ def test_global_step_is_lineage_steps(run_out, label):
     # a checkpoint's step counts every optimizer step since its fresh init
     run_dir = run_out / label.replace(":", "-") / "seed0"
     manifest = load_manifest(run_dir / "manifest.json")
-    plan = build_plan(parse_paradigm(label), manifest.spec)
+    phases = {p.phase_id: p for p in build_plan(parse_paradigm(label), manifest.spec).phases}
     records = {r.ckpt_id: r for r in manifest.records}
     for rec in manifest.records:
         steps, cur = 0, rec
         while cur is not None:
-            steps += plan.phase(cur.phase_id).num_steps
+            steps += phases[cur.phase_id].num_steps
             cur = records.get(cur.parent)
         _, seed, header_step = load_payload(run_dir / rec.payload_file)
         assert rec.global_step == steps == header_step, rec.ckpt_id

@@ -2,7 +2,10 @@
 
 It fails on an import that its module never uses and on a private
 module-level name (`_x`) that nothing in the package refers to: both are
-what a deletion leaves behind.
+what a deletion leaves behind.  It also fails on an `except` clause that
+catches a built-in error a bug raises (`TypeError`, `KeyError`, ...):
+such a clause relabels the bug as bad input.  Input is checked by the
+readers of `schedule`, which raise SchemaMismatch.
 """
 
 import ast
@@ -83,3 +86,22 @@ def test_no_unreferenced_private_names(module):
         if name not in refs
     ]
     assert not dead, f"private names that nothing refers to: {dead}"
+
+
+CATCH_ALL = {"AttributeError", "LookupError", "KeyError", "IndexError", "TypeError"}
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set[str]:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None) for t in types}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_catch_all_except(module):
+    found = [
+        f"{module}:{node.lineno} {sorted(_caught_names(node) & CATCH_ALL)}"
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or _caught_names(node) & CATCH_ALL)
+    ]
+    assert not found, f"except clauses that catch what a bug raises: {found}"

@@ -114,22 +114,22 @@ class TestBuildPlanPathSwitch:
 
     def test_branch_inits_from_fork_and_emits(self):
         plan = build_plan(Paradigm.path_switch(0.6), spec4())
-        branch = plan.phase("v2-branch")
+        branch = {p.phase_id: p for p in plan.phases}["v2-branch"]
         assert branch.init_from == "v2-main"
         assert branch.emits_version_checkpoint
         assert isinstance(branch.lr_profile, DecayProfile)
         assert branch.lr_profile.lr(branch.num_steps - 1) == 3e-5
 
     def test_main_continuation_shares_remainder_data(self):
-        plan = build_plan(Paradigm.path_switch(0.6), spec4())
-        assert plan.phase("v2-branch").data_segments == (SegmentRef(2, "remainder"),)
-        assert plan.phase("v2-cont").data_segments == (SegmentRef(2, "remainder"),)
-        assert plan.phase("v3-main").init_from == "v2-cont"
+        phases = {p.phase_id: p for p in build_plan(Paradigm.path_switch(0.6), spec4()).phases}
+        assert phases["v2-branch"].data_segments == (SegmentRef(2, "remainder"),)
+        assert phases["v2-cont"].data_segments == (SegmentRef(2, "remainder"),)
+        assert phases["v3-main"].init_from == "v2-cont"
 
     def test_warmup_only_in_first_main(self):
-        plan = build_plan(Paradigm.path_switch(0.6), spec4())
-        assert plan.phase("v1-main").lr_profile.config.warmup_steps == 2000
-        assert plan.phase("v2-main").lr_profile.config.warmup_steps == 0
+        phases = {p.phase_id: p for p in build_plan(Paradigm.path_switch(0.6), spec4()).phases}
+        assert phases["v1-main"].lr_profile.config.warmup_steps == 2000
+        assert phases["v2-main"].lr_profile.config.warmup_steps == 0
 
     def test_alpha_degenerate(self):
         with pytest.raises(AlphaDegenerate):
@@ -268,7 +268,8 @@ class TestValidatePlan:
     def test_decay_length_mismatch(self):
         import dataclasses
 
-        branch = build_plan(Paradigm.path_switch(0.6), spec4()).phase("v2-branch")
+        phases = build_plan(Paradigm.path_switch(0.6), spec4()).phases
+        branch = {p.phase_id: p for p in phases}["v2-branch"]
         with pytest.raises(PlanViolation, match="decay length"):
             dataclasses.replace(branch, num_steps=branch.num_steps + 1)
 
