@@ -9,16 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
 from . import cost as cost_mod
 from . import schedule as sched
 from .errors import LrPathError, SchemaMismatch
+from .lineage import atomic_open
 from .paradigm import Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_to_json
 from .schedule import INFINITE, JsonObject, ScheduleConfig, ScheduleKind, schema_error
-from .trainer import run_config_from_dict, run_experiment
+from .trainer import helper_phases, run_config_from_dict, run_experiment
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -123,11 +125,21 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _run_one(payload):
+def _run_one(payload, helper=None):
     # Top-level so a process pool can pickle it.
     label, plan, run_cfg, seeds, out_dir = payload
-    report = run_experiment(plan, run_cfg, seeds, out_dir)
+    report = run_experiment(plan, run_cfg, seeds, out_dir, helper)
     return label, report
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ready() -> None:
+    """A task that does nothing: the helper process imports lrpath to run it."""
 
 
 def cmd_run(args) -> int:
@@ -149,24 +161,32 @@ def cmd_run(args) -> int:
         (label, plan, run_cfg, seeds, out_dir / label.replace(":", "-"))
         for label, plan in plans
     ]
+    # spawn, not fork: a forked child would inherit the parent's BLAS
+    # thread pool mid-state
+    spawn = multiprocessing.get_context("spawn")
+    helper = None
     try:
         if args.jobs > 1:
-            # spawn, not fork: a forked child would inherit the parent's BLAS
-            # thread pool mid-state
-            spawn = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
                 results = list(pool.map(_run_one, jobs))
         else:
-            results = [_run_one(j) for j in jobs]
-    except LrPathError as exc:
+            if _available_cpus() >= 2 and any(helper_phases(p) for _, p in plans):
+                # One process trains leaf phases beside the main path.  It
+                # starts and imports lrpath now, while the first phases train.
+                helper = ProcessPoolExecutor(max_workers=1, mp_context=spawn)
+                helper.submit(_ready)
+            results = [_run_one(j, helper) for j in jobs]
+    except (LrPathError, BrokenExecutor) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
 
     summary = dict(results)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_open(out_dir / "report.json", "w") as fh:
+        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_dir / 'report.json'}")
     return EXIT_OK
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -76,6 +79,29 @@ def allocate_segments(
         segments.append(DataSegment(ref_id, cursor, steps * tokens_per_step))
         cursor += steps * tokens_per_step
     return segments
+
+
+# ---------------------------------------------------------------------------
+# file writes
+
+@contextmanager
+def atomic_open(path, mode: str):
+    """Open a file that replaces `path` whole when the block exits cleanly.
+
+    The data goes to a temp file beside `path`, which `os.replace` moves
+    into place; a block that raises removes it.  A process killed midway
+    leaves `path` as it was (whole or absent), at worst with a stray temp
+    file beside it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +179,7 @@ def manifest_from_dict(d: dict) -> Manifest:
 
 def save_manifest(m: Manifest, path) -> None:
     data = json.dumps(manifest_to_dict(m), sort_keys=True, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write(data)
 
 
@@ -173,7 +199,7 @@ def save_payload(path, flat_params: np.ndarray, seed: int, step: int) -> None:
     """Write params as float64; widening float32 params is exact."""
     flat = np.ascontiguousarray(flat_params, dtype="<f8")
     header = _HEADER.pack(PAYLOAD_MAGIC, 1, flat.size, seed, step)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(flat.tobytes())
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,6 +31,7 @@ from .lineage import (
     CheckpointRecord,
     Manifest,
     allocate_segments,
+    atomic_open,
     derive_seed,
     save_manifest,
     save_payload,
@@ -131,6 +134,10 @@ class ModelState:
         state = ModelState(self.config, self.flat.copy(), self.m, self.v, self.t)
         state.m, state.v = self.m.copy(), self.v.copy()
         return state
+
+    def __reduce__(self):
+        # `params` are views of `flat`; pickled, they would be a fourth copy
+        return ModelState, (self.config, self.flat, self.m, self.v, self.t)
 
 
 @dataclass(frozen=True)
@@ -484,17 +491,97 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     return paradigms, spec, run_cfg, seeds
 
 
+def helper_phases(plan: TrainingPlan) -> frozenset[str]:
+    """The phases `run_single` hands to a helper process, by id.
+
+    Each is a leaf, a phase that no later phase inits from, other than the
+    plan's last.  Leaves are taken in plan order while the helper's steps
+    stay at or below those left to the main process, so the split follows
+    from the plan's step counts alone.  A plan whose only leaf is its last
+    phase (CPT, a two-stage probe) has none.
+    """
+    parents = {p.init_from for p in plan.phases}
+    total = plan_cost(plan)
+    sent: set[str] = set()
+    steps = 0
+    for phase in plan.phases[:-1]:
+        if phase.phase_id not in parents and 2 * (steps + phase.num_steps) <= total:
+            sent.add(phase.phase_id)
+            steps += phase.num_steps
+    return frozenset(sent)
+
+
+def _payload_file(phase: Phase) -> str:
+    return f"ckpt/{phase.phase_id.replace('#', '_')}_final.bin"
+
+
+def _run_phase(
+    phase: Phase,
+    model: ModelState,
+    data: np.ndarray,
+    seed: int,
+    log_stride: int,
+    heldout: np.ndarray,
+    out_dir: Optional[Path],
+) -> tuple[ModelState, Optional[EvalReport]]:
+    """Train one phase, evaluate it if it emits a version checkpoint, and
+    write its payload and trace under `out_dir`."""
+    model, trace = train_phase(model, phase, data, seed, log_stride=log_stride)
+    report = evaluate_ppl(model, heldout) if phase.emits_version_checkpoint else None
+    if out_dir is not None:
+        save_payload(out_dir / _payload_file(phase), model.flat, seed, model.t)
+        with atomic_open(out_dir / f"trace_{phase.phase_id}.csv", "w") as fh:
+            fh.write("step,lr,loss\n")
+            for s, lr, loss in trace:
+                fh.write(f"{s},{lr:.12g},{loss:.12g}\n")
+    return model, report
+
+
+# The held-out set of the run a helper process serves.  A run sends it with
+# its first task only, and the helper runs one task at a time, in order.  It
+# is module state because an executor's worker has no object of its own.
+_helper_heldout: dict[str, np.ndarray] = {}
+
+
+def _train_leaf(
+    phase: Phase,
+    model: ModelState,
+    data: np.ndarray,
+    seed: int,
+    log_stride: int,
+    run_key: str,
+    heldout: Optional[np.ndarray],
+    out_dir: Optional[Path],
+) -> tuple[int, Optional[EvalReport]]:
+    """`_run_phase` in the helper process; returns the state's step count
+    and the evaluation, which is all the main process records."""
+    if heldout is not None:
+        _helper_heldout.clear()
+        _helper_heldout[run_key] = heldout
+    model, report = _run_phase(
+        phase, model, data, seed, log_stride, _helper_heldout[run_key], out_dir
+    )
+    return model.t, report
+
+
 def run_single(
     plan: TrainingPlan,
     run_cfg: RunConfig,
     seed: int,
     out_dir: Optional[Path] = None,
+    helper: Optional[Executor] = None,
 ) -> tuple[dict[int, EvalReport], Manifest]:
     """Execute all phases of a plan once with one seed.
 
     Returns per-version evaluation reports and the populated manifest.
     The held-out set is the corpus head, reserved before segmentation and
-    never trained on.
+    never trained on.  A state is dropped once the last phase that inits
+    from it has started.
+
+    `helper` is an executor with one worker, a process for a speed-up.  It
+    trains the plan's `helper_phases` while this process goes on with the
+    others.  Reports, manifest, payloads and traces are the same bytes
+    with a helper and without.
     """
     validate_plan(plan)
     spec = plan.spec.replace(seed=seed)
@@ -515,50 +602,62 @@ def run_single(
     if out_dir is not None:
         (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
 
+    last_use = {p.init_from: i for i, p in enumerate(plan.phases) if p.init_from is not None}
+    sent = helper_phases(plan) if helper is not None else frozenset()
+    run_key = os.urandom(8).hex()
     store: dict[str, ModelState] = {}
+    outcomes: dict[str, tuple[int, Optional[EvalReport]]] = {}
+    futures: dict[str, Future] = {}
+    try:
+        for i, phase in enumerate(plan.phases):
+            if phase.init_from is None:
+                # Fresh-init seed folds in the version index so independent
+                # scratch runs differ.
+                model = init_model(run_cfg.model, seed ^ phase.version)
+            elif last_use[phase.init_from] == i:
+                model = store.pop(phase.init_from)
+            else:
+                model = store[phase.init_from]
+            data = np.concatenate(
+                [
+                    corpus[seg_map[r.ref_id].start_offset : seg_map[r.ref_id].start_offset + seg_map[r.ref_id].length]
+                    for r in phase.data_segments
+                ]
+            )
+            if phase.phase_id in sent:
+                futures[phase.phase_id] = helper.submit(
+                    _train_leaf, phase, model, data, seed, run_cfg.log_stride,
+                    run_key, None if futures else heldout, out_dir,
+                )
+                continue
+            model, report = _run_phase(
+                phase, model, data, seed, run_cfg.log_stride, heldout, out_dir
+            )
+            if phase.phase_id in last_use:
+                store[phase.phase_id] = model
+            outcomes[phase.phase_id] = (model.t, report)
+        outcomes.update((pid, future.result()) for pid, future in futures.items())
+    finally:
+        for future in futures.values():
+            future.cancel()
+
     results: dict[int, EvalReport] = {}
     for phase in plan.phases:
-        if phase.init_from is None:
-            # Fresh-init seed folds in the version index so independent
-            # scratch runs differ.
-            model = init_model(run_cfg.model, seed ^ phase.version)
-        else:
-            model = store[phase.init_from]
-        data = np.concatenate(
-            [
-                corpus[seg_map[r.ref_id].start_offset : seg_map[r.ref_id].start_offset + seg_map[r.ref_id].length]
-                for r in phase.data_segments
-            ]
-        )
-        model, trace = train_phase(model, phase, data, seed, log_stride=run_cfg.log_stride)
-        store[phase.phase_id] = model
-
-        report = None
-        if phase.emits_version_checkpoint:
-            report = evaluate_ppl(model, heldout)
+        t, report = outcomes[phase.phase_id]
+        if report is not None:
             results[phase.version] = report
-
-        ckpt_id = f"{phase.phase_id}#final"
-        payload_file = f"ckpt/{ckpt_id.replace('#', '_')}.bin"
         manifest.records.append(
             CheckpointRecord(
-                ckpt_id=ckpt_id,
+                ckpt_id=f"{phase.phase_id}#final",
                 phase_id=phase.phase_id,
                 version=phase.version,
                 path=phase.path.value,
                 parent=None if phase.init_from is None else f"{phase.init_from}#final",
-                global_step=model.t,
+                global_step=t,
                 metrics=dataclasses.asdict(report) if report else None,
-                payload_file=payload_file,
+                payload_file=_payload_file(phase),
             )
         )
-        if out_dir is not None:
-            save_payload(out_dir / payload_file, model.flat, seed, model.t)
-            trace_path = out_dir / f"trace_{phase.phase_id}.csv"
-            with open(trace_path, "w", encoding="utf-8") as fh:
-                fh.write("step,lr,loss\n")
-                for s, lr, loss in trace:
-                    fh.write(f"{s},{lr:.12g},{loss:.12g}\n")
     if out_dir is not None:
         save_manifest(manifest, out_dir / "manifest.json")
     return results, manifest
@@ -569,13 +668,15 @@ def run_experiment(
     run_cfg: RunConfig,
     seeds: Sequence[int],
     out_dir: Optional[Path] = None,
+    helper: Optional[Executor] = None,
 ) -> dict:
     """Run a plan over several seeds; returns the `report.json` document,
-    with per-seed perplexity and its mean for each version."""
+    with per-seed perplexity and its mean for each version.  `helper` is
+    passed to `run_single`."""
     per_seed: list[dict[int, EvalReport]] = []
     for seed in seeds:
         seed_dir = None if out_dir is None else Path(out_dir) / f"seed{seed}"
-        results, _ = run_single(plan, run_cfg, seed, seed_dir)
+        results, _ = run_single(plan, run_cfg, seed, seed_dir, helper)
         per_seed.append(results)
     versions: dict[str, dict] = {}
     for v in sorted(per_seed[0]):
@@ -593,6 +694,6 @@ def run_experiment(
     }
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        (Path(out_dir) / "report.json").write_text(text, encoding="utf-8")
+        with atomic_open(Path(out_dir) / "report.json", "w") as fh:
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report

@@ -10,6 +10,7 @@ from lrpath.lineage import (
     CheckpointRecord,
     Manifest,
     allocate_segments,
+    atomic_open,
     derive_seed,
     load_manifest,
     load_payload,
@@ -241,6 +242,22 @@ class TestPayload:
         path.write_bytes(raw[: len(raw) - 8])
         with pytest.raises(SchemaMismatch):
             load_payload(path)
+
+    def test_write_raising_midway_leaves_nothing(self, tmp_path):
+        # a file is replaced whole or not at all, and no temp file stays
+        target = tmp_path / "manifest.json"
+        with pytest.raises(RuntimeError, match="killed"):
+            with atomic_open(target, "w") as fh:
+                fh.write("half a docu")
+                raise RuntimeError("killed")
+        assert list(tmp_path.iterdir()) == []
+        target.write_text("old")
+        with pytest.raises(RuntimeError, match="killed"):
+            with atomic_open(target, "wb") as fh:
+                fh.write(b"new")
+                raise RuntimeError("killed")
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        assert target.read_text() == "old"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,22 @@ class TestModelSetup:
         model.params["b1"][:] = 7.5
         start = TINY.vocab_size * TINY.embed_dim + TINY.context_len * TINY.embed_dim * TINY.hidden_dim
         assert model.flat[start] == 7.5
+
+    def test_pickle_carries_one_copy_of_the_parameters(self):
+        # a helper process gets states by pickle; `params` are views of
+        # `flat` and must not travel as a fourth copy
+        model = init_model(TINY, seed=0)
+        model.m += 0.5
+        model.v += 0.25
+        model.t = 7
+        blob = pickle.dumps(model)
+        assert len(blob) < 3 * model.flat.nbytes + 4096
+        back = pickle.loads(blob)
+        assert (back.config, back.t) == (model.config, 7)
+        for name in ("flat", "m", "v"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
+        back.params["b1"][:] = 7.5
+        assert back.flat[TINY.vocab_size * TINY.embed_dim + TINY.context_len * TINY.embed_dim * TINY.hidden_dim] == 7.5
 
 
 class TestForwardBackward:
