@@ -13,25 +13,21 @@ from .paradigm import (
     UpdateSpec,
     build_plan,
     build_two_stage_probe,
-    equalize_cpt_cost,
     plan_cost,
     uniform_spec,
     validate_plan,
 )
 from .schedule import (
     INFINITE,
-    LRSeries,
     ScheduleConfig,
     ScheduleKind,
     decay_lr,
-    dump_curve,
     lr_at,
 )
 
 __all__ = [
     "CptVariant",
     "INFINITE",
-    "LRSeries",
     "Paradigm",
     "ScheduleConfig",
     "ScheduleKind",
@@ -40,8 +36,6 @@ __all__ = [
     "build_plan",
     "build_two_stage_probe",
     "decay_lr",
-    "dump_curve",
-    "equalize_cpt_cost",
     "lr_at",
     "paradigm_cost",
     "plan_cost",

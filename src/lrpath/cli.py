@@ -12,14 +12,14 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 from . import cost as cost_mod
-from . import schedule as sched
-from .errors import LrPathError, SchemaMismatch
+from .errors import InvalidConfig, LrPathError, SchemaMismatch
 from .lineage import atomic_open
 from .paradigm import Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_to_json
-from .schedule import INFINITE, JsonObject, ScheduleConfig, ScheduleKind, schema_error
+from .schedule import INFINITE, JsonObject, ScheduleConfig, ScheduleKind, lr_at, schema_error
 from .trainer import helper_phases, run_config_from_dict, run_experiment
 
 EXIT_OK = 0
@@ -73,14 +73,18 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
 
 def cmd_schedule(args) -> int:
     cfg = _schedule_from_args(args)
-    stop = args.to
+    start, stop, stride = args.frm, args.to, args.stride
     if stop is None:
         if cfg.horizon == INFINITE:
             print("--to is required for an infinite horizon", file=sys.stderr)
             return EXIT_USAGE
         stop = int(cfg.horizon)
-    series = sched.dump_curve(cfg, args.frm, stop, args.stride)
-    text = series.to_csv()
+    if stride < 1:
+        raise InvalidConfig(f"stride must be >= 1, got {stride}")
+    if start > stop:
+        raise InvalidConfig(f"start ({start}) must not exceed stop ({stop})")
+    rows = [[str(s), f"{lr_at(cfg, s):.12g}"] for s in range(start, stop + 1, stride)]
+    text = _render_table(["step", "lr"], rows, "csv")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -125,13 +129,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _run_one(payload, helper=None):
-    # Top-level so a process pool can pickle it.
-    label, plan, run_cfg, seeds, out_dir = payload
-    report = run_experiment(plan, run_cfg, seeds, out_dir, helper)
-    return label, report
-
-
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -151,16 +148,13 @@ def cmd_run(args) -> int:
 
     try:
         paradigms, spec, run_cfg, seeds = run_config_from_dict(cfg)
-        plans = [(p.label, build_plan(p, spec)) for p in paradigms]
+        plans = [build_plan(p, spec) for p in paradigms]
     except LrPathError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     out_dir = Path(args.out)
-    jobs = [
-        (label, plan, run_cfg, seeds, out_dir / label.replace(":", "-"))
-        for label, plan in plans
-    ]
+    dirs = [out_dir / plan.paradigm.label.replace(":", "-") for plan in plans]
     # spawn, not fork: a forked child would inherit the parent's BLAS
     # thread pool mid-state
     spawn = multiprocessing.get_context("spawn")
@@ -168,14 +162,16 @@ def cmd_run(args) -> int:
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-                results = list(pool.map(_run_one, jobs))
+                reports = list(
+                    pool.map(run_experiment, plans, repeat(run_cfg), repeat(seeds), dirs)
+                )
         else:
-            if _available_cpus() >= 2 and any(helper_phases(p) for _, p in plans):
+            if _available_cpus() >= 2 and any(helper_phases(p) for p in plans):
                 # One process trains leaf phases beside the main path.  It
                 # starts and imports lrpath now, while the first phases train.
                 helper = ProcessPoolExecutor(max_workers=1, mp_context=spawn)
                 helper.submit(_ready)
-            results = [_run_one(j, helper) for j in jobs]
+            reports = [run_experiment(p, run_cfg, seeds, d, helper) for p, d in zip(plans, dirs)]
     except (LrPathError, BrokenExecutor) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -183,7 +179,7 @@ def cmd_run(args) -> int:
         if helper is not None:
             helper.shutdown(cancel_futures=True)
 
-    summary = dict(results)
+    summary = {report["paradigm"]: report for report in reports}
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "report.json", "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -57,5 +57,9 @@ class EmptyEval(LrPathError):
     pass
 
 
+class NonFiniteEval(LrPathError):
+    pass
+
+
 class DataExhausted(LrPathError):
     pass

@@ -252,8 +252,8 @@ def _constant_profile(base: ScheduleConfig, warmup: int) -> ScheduleProfile:
 
 def fast_decay_steps(t: int, alpha: float) -> int:
     """Fast-decay steps of a t-step increment: floor(alpha * t), guarded
-    against float slop just below an integer.  Plans, costs and equal
-    budgets all split an increment this way; the main path keeps the rest."""
+    against float slop just below an integer.  Plans, segments and costs
+    all split an increment this way; the main path keeps the rest."""
     return math.floor(alpha * t + 1e-9)
 
 
@@ -467,25 +467,6 @@ def build_two_stage_probe(
         spec=probe_spec,
         phases=(stage1, stage2),
     )
-
-
-def equalize_cpt_cost(spec: UpdateSpec, alpha: float) -> UpdateSpec:
-    """Inflate a CPT scenario so its total cost matches path switching.
-
-    Each update's budget grows by its share of the `fast_decay_steps`
-    overhead; the integer remainder goes to the earliest updates so the
-    totals match exactly.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidSpec(f"alpha must lie in [0, 1], got {alpha}")
-    n = spec.num_versions
-    if n == 1 or alpha == 0.0:
-        return spec
-    extra = sum(fast_decay_steps(t, alpha) for t in spec.increments[:-1])
-    total = sum(spec.increments) + extra
-    per, rem = divmod(total, n)
-    increments = tuple(per + 1 if i < rem else per for i in range(n))
-    return spec.replace(increments=increments)
 
 
 def _ancestors(plan: TrainingPlan, phase: Phase) -> list[Phase]:

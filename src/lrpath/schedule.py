@@ -25,7 +25,6 @@ class ScheduleKind(str, Enum):
     KNEE = "knee"
     MULTISTEP = "multistep"
     CONSTANT = "constant"
-    INVERSE_SQRT = "inverse_sqrt"
 
 
 #: Kinds that have a decay shape (usable for branch fast-decay profiles).
@@ -82,21 +81,6 @@ class ScheduleConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class LRSeries:
-    """A materialized (step, lr) curve with strictly increasing steps."""
-
-    points: tuple[tuple[int, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def to_csv(self) -> str:
-        lines = ["step,lr"]
-        lines.extend(f"{s},{lr:.12g}" for s, lr in self.points)
-        return "\n".join(lines) + "\n"
-
-
 def _decay_value(cfg: ScheduleConfig, u: float) -> float:
     """Decay shape of the post-warmup window, u in [0, 1] -> lr.
 
@@ -128,18 +112,10 @@ def lr_at(cfg: ScheduleConfig, step: int) -> float:
     if horizon != INFINITE and step > horizon:
         raise StepOutOfRange(f"step {step} exceeds horizon {horizon}")
 
-    kind = cfg.kind
-    if kind is ScheduleKind.CONSTANT:
-        return cfg.eta_max
-    if kind is ScheduleKind.INVERSE_SQRT:
-        ref = max(w, 1)
-        if step < ref:
-            return cfg.eta_max
-        return max(cfg.eta_min, cfg.eta_max * math.sqrt(ref / step))
     # Decaying kinds plateau at eta_max when the horizon is infinite.
-    if horizon == INFINITE:
+    if cfg.kind is ScheduleKind.CONSTANT or horizon == INFINITE:
         return cfg.eta_max
-    if kind is ScheduleKind.MULTISTEP:
+    if cfg.kind is ScheduleKind.MULTISTEP:
         b1, b2 = cfg.multistep_breaks
         f1, f2 = cfg.multistep_factors
         if step < b1 * horizon:
@@ -172,16 +148,6 @@ def decay_lr(cfg: ScheduleConfig, length: int, step: int) -> float:
     if cfg.kind is ScheduleKind.KNEE:
         return cfg.eta_max + (cfg.eta_min - cfg.eta_max) * (i / length)
     return _decay_value(cfg, i / length)
-
-
-def dump_curve(cfg: ScheduleConfig, start: int, stop: int, stride: int) -> LRSeries:
-    """Materialize lr_at over [start, stop] at the given stride."""
-    if stride < 1:
-        raise InvalidConfig(f"stride must be >= 1, got {stride}")
-    if start > stop:
-        raise InvalidConfig(f"start ({start}) must not exceed stop ({stop})")
-    points = tuple((s, lr_at(cfg, s)) for s in range(start, stop + 1, stride))
-    return LRSeries(points)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import (
     DataExhausted,
     EmptyEval,
     InvalidConfig,
+    NonFiniteEval,
     NonFiniteUpdate,
     ShapeMismatch,
 )
@@ -409,7 +409,13 @@ def evaluate_ppl(model: ModelState, heldout: np.ndarray) -> EvalReport:
         group = rows[i : i + EVAL_GROUP]
         total += float(group.mean()) * len(group)
     nll = total / len(windows)
-    return EvalReport(ppl=math.exp(nll), nll=nll, tokens_evaluated=int(len(windows)))
+    try:
+        ppl = math.exp(nll)
+    except OverflowError:  # nll above ~709.78
+        ppl = math.inf
+    if not math.isfinite(ppl):
+        raise NonFiniteEval(f"held-out nll {nll:.6g} has no finite perplexity")
+    return EvalReport(ppl=ppl, nll=nll, tokens_evaluated=int(len(windows)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +533,12 @@ def _run_phase(
     """Train one phase, evaluate it if it emits a version checkpoint, and
     write its payload and trace under `out_dir`."""
     model, trace = train_phase(model, phase, data, seed, log_stride=log_stride)
-    report = evaluate_ppl(model, heldout) if phase.emits_version_checkpoint else None
+    report = None
+    if phase.emits_version_checkpoint:
+        try:
+            report = evaluate_ppl(model, heldout)
+        except NonFiniteEval as exc:
+            raise NonFiniteEval(f"phase {phase.phase_id}: {exc}") from exc
     if out_dir is not None:
         save_payload(out_dir / _payload_file(phase), model.flat, seed, model.t)
         with atomic_open(out_dir / f"trace_{phase.phase_id}.csv", "w") as fh:
@@ -537,30 +548,18 @@ def _run_phase(
     return model, report
 
 
-# The held-out set of the run a helper process serves.  A run sends it with
-# its first task only, and the helper runs one task at a time, in order.  It
-# is module state because an executor's worker has no object of its own.
-_helper_heldout: dict[str, np.ndarray] = {}
-
-
 def _train_leaf(
     phase: Phase,
     model: ModelState,
     data: np.ndarray,
     seed: int,
     log_stride: int,
-    run_key: str,
-    heldout: Optional[np.ndarray],
+    heldout: np.ndarray,
     out_dir: Optional[Path],
 ) -> tuple[int, Optional[EvalReport]]:
     """`_run_phase` in the helper process; returns the state's step count
     and the evaluation, which is all the main process records."""
-    if heldout is not None:
-        _helper_heldout.clear()
-        _helper_heldout[run_key] = heldout
-    model, report = _run_phase(
-        phase, model, data, seed, log_stride, _helper_heldout[run_key], out_dir
-    )
+    model, report = _run_phase(phase, model, data, seed, log_stride, heldout, out_dir)
     return model.t, report
 
 
@@ -604,7 +603,6 @@ def run_single(
 
     last_use = {p.init_from: i for i, p in enumerate(plan.phases) if p.init_from is not None}
     sent = helper_phases(plan) if helper is not None else frozenset()
-    run_key = os.urandom(8).hex()
     store: dict[str, ModelState] = {}
     outcomes: dict[str, tuple[int, Optional[EvalReport]]] = {}
     futures: dict[str, Future] = {}
@@ -626,8 +624,7 @@ def run_single(
             )
             if phase.phase_id in sent:
                 futures[phase.phase_id] = helper.submit(
-                    _train_leaf, phase, model, data, seed, run_cfg.log_stride,
-                    run_key, None if futures else heldout, out_dir,
+                    _train_leaf, phase, model, data, seed, run_cfg.log_stride, heldout, out_dir
                 )
                 continue
             model, report = _run_phase(

@@ -35,6 +35,12 @@ USAGE_ERRORS = {
     "bad_steps": (["plan", "--paradigm", "ptfs", "--steps", "100,a", *PLAN_ARGS],
                   "argument --steps"),
     "bad_horizon": (["schedule", "--horizon", "abc"], "argument --horizon"),
+    "stride_zero": (["schedule", "--stride", "0"], "error: stride must be >= 1, got 0"),
+    "from_after_to": (["schedule", "--from", "5", "--to", "3"],
+                      "error: start (5) must not exceed stop (3)"),
+    # inverse_sqrt was a kind once; it had no decay shape and no run used it
+    "inverse_sqrt_kind": (["schedule", "--kind", "inverse_sqrt"],
+                          "argument --kind: invalid choice: 'inverse_sqrt'"),
     "not_a_report": (["compare", "{report}"], "cannot read report"),
     "jobs_zero": (["run", "{report}", "--jobs", "0"], "argument --jobs: expected a positive integer"),
     "jobs_negative": (["run", "{report}", "--jobs", "-1"], "argument --jobs"),
@@ -51,6 +57,37 @@ def test_usage_error_exits_2(tmp_path, capsys, argv, message):
 
 
 class TestSchedule:
+    def rows(self, capsys, *flags) -> list[tuple[int, float]]:
+        assert main(["schedule", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "step,lr"
+        return [(int(step), float(lr)) for step, lr in (line.split(",") for line in lines[1:])]
+
+    def test_endpoints(self, capsys):
+        rows = self.rows(capsys, "--stride", "2000")
+        assert [step for step, _ in rows] == [0, 2000, 4000, 6000, 8000, 10_000]
+        assert rows[0] == (0, 0.0)
+        assert abs(rows[-1][1] - 3e-5) / 3e-5 < 1e-12
+
+    def test_degenerate_stride(self, capsys):
+        # a stride longer than the range samples its start only
+        rows = self.rows(capsys, "--from", "3000", "--to", "4000", "--stride", "5000")
+        assert [step for step, _ in rows] == [3000]
+
+    def test_constant_plateau(self, capsys):
+        flags = ["--kind", "constant", "--horizon", "inf", "--from", "2000", "--to", "4000"]
+        rows = self.rows(capsys, *flags, "--stride", "1000")
+        assert [lr for _, lr in rows] == [3e-4] * 3
+
+    def test_csv_format(self, capsys):
+        assert main(["schedule", "--to", "4000", "--stride", "2000"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[:2] == ["step,lr", "0,0"]
+        # >= 10 significant digits survive round-tripping
+        step, lr = lines[2].split(",")
+        assert step == "2000"
+        assert float(lr) == 3e-4
+
     def test_csv_endpoints(self, capsys):
         rc = main(["schedule", "--kind", "cosine", "--warmup", "2000"])
         assert rc == 0
@@ -235,6 +272,30 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert f"invalid config: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_inverse_sqrt_kind_rejected(self, tmp_path, capsys):
+        schedule = {"kind": "inverse_sqrt", "eta_max": 1e-3, "eta_min": 1e-4, "warmup_steps": 5}
+        out = tmp_path / "o"
+        assert main(["run", str(run_config(tmp_path, schedule=schedule)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: malformed run config: schedule.kind: ")
+        assert "'inverse_sqrt'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta_max", [1000, 1e6, 1e12])
+    def test_eval_overflow_fails_run(self, tmp_path, capsys, eta_max):
+        # the held-out nll passes ~709, past which exp() overflows a float
+        schedule = {"kind": "cosine", "eta_max": eta_max, "eta_min": 1e-4, "warmup_steps": 3}
+        cfg = run_config(tmp_path, paradigms=["cpt:reset_max"], schedule=schedule)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: phase v1-scratch: held-out nll ")
+        assert err.endswith(" has no finite perplexity\n")
+
+    def test_large_lr_runs_through(self, tmp_path):
+        schedule = {"kind": "cosine", "eta_max": 10, "eta_min": 1e-4, "warmup_steps": 3}
+        cfg = run_config(tmp_path, paradigms=["cpt:reset_max"], schedule=schedule)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_integral_floats_load(self, tmp_path):
         # JSON writers may emit 2e3 for 2000; the run is the same

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from lrpath.cost import paradigm_cost, relative_cost
 from lrpath.errors import AlphaDegenerate, InvalidArgument
-from lrpath.paradigm import Paradigm, build_plan, equalize_cpt_cost, plan_cost, uniform_spec
+from lrpath.paradigm import Paradigm, UpdateSpec, build_plan, plan_cost, uniform_spec
 from lrpath.schedule import ScheduleConfig, ScheduleKind
 
 BASE = ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 100, 10_000)
@@ -70,8 +70,8 @@ class TestProperties:
 
 
 def test_fast_decay_split_agrees_on_small_grid():
-    # the closed-form cost, the compiled plan and the equal-budget CPT
-    # scenario split alpha*t the same way, also when it is not integral
+    # the closed-form cost and the compiled plan split alpha*t the same
+    # way, also when it is not integral
     base = BASE.replace(warmup_steps=0)
     cases = 0
     for n in range(1, 7):
@@ -85,6 +85,12 @@ def test_fast_decay_split_agrees_on_small_grid():
                     continue  # no fast-decay step
                 cases += 1
                 assert paradigm_cost(kind, n, t) == cost, (n, t, alpha)
-                equal = equalize_cpt_cost(spec, alpha)
-                assert plan_cost(build_plan(Paradigm.cpt(), equal)) == cost, (n, t, alpha)
     assert cases > 3000
+
+
+def test_equal_budget_cpt_is_a_steps_list():
+    # the README's example: path_switch:0.6 at 4 x 2000 steps costs
+    # 8000 + 3 * 1200 steps, and so does a CPT of 4 x 2900
+    budget = paradigm_cost(Paradigm.path_switch(0.6), 4, 2000)
+    cpt = UpdateSpec(4, (2900, 2900, 2900, 2900), BASE.replace(warmup_steps=200))
+    assert budget == 11_600 == plan_cost(build_plan(Paradigm.cpt(), cpt))

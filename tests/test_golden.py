@@ -13,7 +13,8 @@ numpy's bundled OpenBLAS on x86-64.
 The corpus digests are sha256 over the little-endian int64 tokens of
 `make_corpus`; the eval pins are the exact per-version (ppl, nll) floats
 of the same tiny runs.  The run-output digests are sha256 over the report
-and manifest files that a tiny two-paradigm `lrpath run` writes.
+and manifest files that a tiny two-paradigm `lrpath run` writes.  The CLI
+digests are sha256 over what `lrpath schedule` and `lrpath cost` print.
 """
 
 import dataclasses
@@ -137,6 +138,29 @@ RUN_OUTPUT_DIGESTS = {
     "path_switch-0.6/seed0/manifest.json": "c4a5af811c9e8399563415df2fa45367fd1ecb61bf794cc23dc267e65ac57988",
 }
 
+# sha256 of the stdout of `lrpath schedule --kind <kind>` plus these flags
+SCHEDULE_FLAGS = {
+    "default": [],
+    "from_stride": ["--from", "1500", "--stride", "7"],
+    "infinite": ["--horizon", "inf", "--to", "4000"],
+}
+SCHEDULE_OUTPUT_DIGESTS = {
+    ("cosine", "default"): "0798645312a99dc8622b9330901b02c2a5ef476d2cdc34704330632815d5054e",
+    ("cosine", "from_stride"): "8ddc80c701bd86fe4b141cf4470e424877751439faa560224409deb9d215e38d",
+    ("cosine", "infinite"): "ad0848d5a95ff6b702fb8856aa0e4356f985577023dd5908f65202be48276532",
+    ("knee", "default"): "2676427cc697a26d809f8d5a88d2c6a0d20ed6a90f2f5a8807f453f0248752a0",
+    ("knee", "from_stride"): "098b831983b803881b32398fc24be47317d70e91db2dad61d740c28a72817357",
+    ("knee", "infinite"): "ad0848d5a95ff6b702fb8856aa0e4356f985577023dd5908f65202be48276532",
+    ("multistep", "default"): "48d763994fe90923954ff606e4ca2ae718e467b47d7cbe0dd5e98cb04b29dd44",
+    ("multistep", "from_stride"): "e1d6e9a1b367798454dca4dbb75915fe7b892adcc587fc2bcf8a048ba11b9d31",
+    ("multistep", "infinite"): "ad0848d5a95ff6b702fb8856aa0e4356f985577023dd5908f65202be48276532",
+    ("constant", "default"): "e3cf2a70d7388d92ccdf11d194de9d0247f036646e7b564835539aee9310b175",
+    ("constant", "from_stride"): "d84d9c15c0fd0f908bc9584789de2509d81d3c852064d737a104a093bd6a38bf",
+    ("constant", "infinite"): "ad0848d5a95ff6b702fb8856aa0e4356f985577023dd5908f65202be48276532",
+}
+# sha256 of the stdout of `lrpath cost --versions 4 --steps 2000`
+COST_OUTPUT_DIGEST = "7cc648b5a4d03e09857a34fd1d7d4f3a28c48a6321c3efd96ada1d381e440f82"
+
 SPEC = uniform_spec(3, 40, ScheduleConfig(ScheduleKind.COSINE, 1e-2, 1e-3, 4, 40))
 RUN_CFG = RunConfig(
     model=ToyModelConfig(
@@ -252,3 +276,19 @@ def test_global_step_is_lineage_steps(run_out, label):
         _, seed, header_step = load_payload(run_dir / rec.payload_file)
         assert rec.global_step == steps == header_step, rec.ckpt_id
         assert seed == 0
+
+
+def _stdout_digest(capsys, argv) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, flags", sorted(SCHEDULE_OUTPUT_DIGESTS))
+def test_schedule_output_bytes(capsys, kind, flags):
+    argv = ["schedule", "--kind", kind, *SCHEDULE_FLAGS[flags]]
+    assert _stdout_digest(capsys, argv) == SCHEDULE_OUTPUT_DIGESTS[kind, flags]
+
+
+def test_cost_output_bytes(capsys):
+    argv = ["cost", "--versions", "4", "--steps", "2000"]
+    assert _stdout_digest(capsys, argv) == COST_OUTPUT_DIGEST

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from lrpath import cli, trainer
-from lrpath.errors import NonFiniteUpdate
+from lrpath.errors import NonFiniteEval, NonFiniteUpdate
 from lrpath.paradigm import (
     Paradigm,
     PathKind,
@@ -101,6 +102,24 @@ def test_helper_error_names_phase_and_step():
             run_single(plan, RUN_CFG, 0, helper=pool)
 
 
+@pytest.mark.parametrize("label, phase", [("cpt:reset_max", "v2-cpt"), ("ptfs", "v1-scratch")])
+def test_eval_overflow_names_phase(label, phase):
+    # at lr 1e6 the held-out nll passes ~709, where exp() overflows; v2-cpt
+    # is evaluated here, v1-scratch in the helper
+    plan = build_plan(parse_paradigm(label), uniform_spec(2, 20, SCHED))
+    big = ScheduleConfig(ScheduleKind.CONSTANT, 1e6, 1e6, 0, INFINITE)
+    phases = [
+        dataclasses.replace(p, lr_profile=ScheduleProfile(big)) if p.phase_id == phase else p
+        for p in plan.phases
+    ]
+    plan = dataclasses.replace(plan, phases=tuple(phases))
+    assert helper_phases(plan) == ({phase} if label == "ptfs" else set())
+    message = rf"^phase {phase}: held-out nll \S+ has no finite perplexity$"
+    with ProcessPoolExecutor(max_workers=1, mp_context=SPAWN) as pool:
+        with pytest.raises(NonFiniteEval, match=message):
+            run_single(plan, RUN_CFG, 0, helper=pool)
+
+
 def run_config(tmp_path, **overrides):
     cfg = {
         "paradigms": ["ptfs", "cpt:reset_max", "path_switch:0.6", "path_switch:0.45"],
@@ -128,8 +147,9 @@ def test_run_output_identical_with_helper(tmp_path, monkeypatch):
             if fn is trainer._train_leaf:
                 phase, heldout, out_dir = args[0], args[-2], args[-1]
                 run = (out_dir.parent.name, out_dir.name)
-                # the held-out set travels with a run's first task only
-                assert (heldout is not None) == all(r[:2] != run for r in submitted)
+                # every task carries the run's held-out array
+                assert isinstance(heldout, np.ndarray)
+                assert len(heldout) == 500
                 submitted.append((*run, phase.phase_id))
             return super().submit(fn, *args, **kwargs)
 
@@ -167,6 +187,16 @@ def test_run_failure_leaves_no_process(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
     err = capsys.readouterr().err
     assert err.startswith("run failed: phase v") and ", step " in err
+
+
+def test_eval_overflow_fails_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    schedule = {"kind": "cosine", "eta_max": 1e6, "eta_min": 1e-4, "warmup_steps": 3}
+    cfg = run_config(tmp_path, paradigms=["path_switch:0.6"], seeds=[0], schedule=schedule)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"run failed: phase v\d-branch: held-out nll \S+ has no finite perplexity\n", err)
 
 
 def test_helper_death_fails_run(tmp_path, capsys, monkeypatch):

@@ -26,7 +26,6 @@ from lrpath.paradigm import (
     UpdateSpec,
     build_plan,
     build_two_stage_probe,
-    equalize_cpt_cost,
     plan_cost,
     plan_from_dict,
     plan_to_dict,
@@ -207,35 +206,6 @@ class TestTwoStageProbe:
         assert not s2.lr_profile.hold_min
         with pytest.raises(StepOutOfRange):
             s2.lr_profile.lr(10_001)
-
-
-class TestEqualizeCptCost:
-    def test_worked_example(self):
-        spec = uniform_spec(4, 5000, BASE.replace(warmup_steps=200))
-        out = equalize_cpt_cost(spec, 0.2)
-        assert out.increments == (5750, 5750, 5750, 5750)
-        assert sum(out.increments) == 23_000
-
-    def test_matches_path_switch_cost(self):
-        spec = uniform_spec(4, 5000, BASE.replace(warmup_steps=200))
-        out = equalize_cpt_cost(spec, 0.6)
-        plan = build_plan(Paradigm.path_switch(0.6), spec)
-        assert sum(out.increments) == plan_cost(plan)
-
-    def test_alpha_zero_unchanged(self):
-        spec = spec4()
-        assert equalize_cpt_cost(spec, 0.0) is spec
-
-    def test_single_version_unchanged(self):
-        spec = uniform_spec(1, 10_000, BASE)
-        assert equalize_cpt_cost(spec, 0.6) is spec
-
-    def test_remainder_goes_to_earliest(self):
-        spec = uniform_spec(3, 1001, BASE.replace(warmup_steps=100))
-        out = equalize_cpt_cost(spec, 0.5)
-        # total = 3003 + 2 * floor(0.5*1001) = 4003 -> 1335, 1334, 1334
-        assert sum(out.increments) == plan_cost(build_plan(Paradigm.path_switch(0.5), spec))
-        assert out.increments[0] >= out.increments[-1]
 
 
 class TestValidatePlan:

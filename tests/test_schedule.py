@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +9,6 @@ from lrpath.schedule import (
     ScheduleConfig,
     ScheduleKind,
     decay_lr,
-    dump_curve,
     lr_at,
 )
 
@@ -81,12 +78,6 @@ class TestLrAt:
         cfg = COSINE.replace(kind=ScheduleKind.CONSTANT, horizon=INFINITE)
         assert lr_at(cfg, 5000) == 3e-4
 
-    def test_inverse_sqrt(self):
-        cfg = COSINE.replace(kind=ScheduleKind.INVERSE_SQRT, horizon=INFINITE)
-        assert rel_err(lr_at(cfg, 8000), 3e-4 * math.sqrt(2000 / 8000)) < 1e-12
-        # floored at eta_min far out
-        assert lr_at(cfg, 10**9) == 3e-5
-
 
 class TestProperties:
     @given(st.integers(0, 2000))
@@ -153,7 +144,7 @@ class TestDecaySegment:
         assert all(rel_err(lr, 0.316 * 3e-4) < 1e-12 for lr in lrs[:500])
         assert all(lr == 3e-5 for lr in lrs[500:])
 
-    @pytest.mark.parametrize("kind", [ScheduleKind.CONSTANT, ScheduleKind.INVERSE_SQRT])
+    @pytest.mark.parametrize("kind", [ScheduleKind.CONSTANT])
     def test_unsupported_kinds(self, kind):
         with pytest.raises(UnsupportedKind):
             DecayProfile(COSINE.replace(kind=kind, horizon=INFINITE), 100)
@@ -161,32 +152,3 @@ class TestDecaySegment:
     def test_bad_length(self):
         with pytest.raises(InvalidConfig):
             DecayProfile(COSINE, 0)
-
-
-class TestDumpCurve:
-    def test_endpoints(self):
-        series = dump_curve(COSINE, 0, 10_000, 2000)
-        assert len(series) == 6
-        assert series.points[0] == (0, 0.0)
-        assert series.points[-1][0] == 10_000
-        assert rel_err(series.points[-1][1], 3e-5) < 1e-12
-
-    def test_degenerate_stride(self):
-        series = dump_curve(COSINE, 3000, 4000, 5000)
-        assert len(series) == 1
-        assert series.points[0][0] == 3000
-
-    def test_constant_plateau(self):
-        cfg = COSINE.replace(kind=ScheduleKind.CONSTANT, horizon=INFINITE)
-        series = dump_curve(cfg, 2000, 4000, 1000)
-        assert [lr for _, lr in series.points] == [3e-4] * 3
-
-    def test_csv_format(self):
-        text = dump_curve(COSINE, 0, 4000, 2000).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "step,lr"
-        assert lines[1] == "0,0"
-        # >= 10 significant digits survive round-tripping
-        step, lr = lines[2].split(",")
-        assert step == "2000"
-        assert float(lr) == 3e-4

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrpath.errors import DataExhausted, EmptyEval, InvalidConfig, NonFiniteUpdate, ShapeMismatch
+from lrpath.errors import (
+    DataExhausted, EmptyEval, InvalidConfig, NonFiniteEval, NonFiniteUpdate, ShapeMismatch,
+)
 from lrpath.lineage import derive_seed
 from lrpath.paradigm import Paradigm, build_plan, uniform_spec
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
@@ -367,6 +369,18 @@ class TestEvaluate:
         model = init_model(TINY, seed=4)
         with pytest.raises(EmptyEval):
             evaluate_ppl(model, np.zeros(TINY.context_len, dtype=np.int64))
+
+    @pytest.mark.parametrize("scale", [1e6, np.nan], ids=["overflow", "nan"])
+    def test_no_finite_ppl(self, scale):
+        # at 1e6 the logits lie so far apart that exp(nll) overflows a float
+        # (nll above ~709); a NaN parameter gives a NaN nll
+        model = init_model(TINY, seed=4)
+        model.flat *= scale
+        data = make_corpus(3, 3000) % TINY.vocab_size
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteEval, match=r"^held-out nll \S+ has no finite perplexity$"
+        ):
+            evaluate_ppl(model, data)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("vocab", [64, 256])
