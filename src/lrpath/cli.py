@@ -8,19 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from itertools import repeat
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import cost as cost_mod
 from .errors import InvalidConfig, LrPathError, SchemaMismatch
 from .lineage import atomic_open
-from .paradigm import Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_to_json
+from .paradigm import Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_cost, plan_to_json
 from .schedule import INFINITE, JsonObject, ScheduleConfig, ScheduleKind, lr_at, schema_error
-from .trainer import helper_phases, run_config_from_dict, run_experiment
+from .trainer import run_all, run_config_from_dict
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -135,8 +133,26 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ready() -> None:
-    """A task that does nothing: the helper process imports lrpath to run it."""
+def _write_report(plan, seeds: list[int], per_seed: list[dict], out_dir: Path) -> dict:
+    """Write a paradigm's `report.json`, with per-seed perplexity and its
+    mean for each version; returns the document."""
+    versions: dict[str, dict] = {}
+    for v in sorted(per_seed[0]):
+        ppls = [r[v].ppl for r in per_seed]
+        versions[str(v)] = {
+            "ppl": ppls,
+            "nll": [r[v].nll for r in per_seed],
+            "mean_ppl": sum(ppls) / len(ppls),
+        }
+    report = {
+        "paradigm": plan.paradigm.label,
+        "seeds": seeds,
+        "total_steps": plan_cost(plan),
+        "versions": versions,
+    }
+    with atomic_open(out_dir / "report.json", "w") as fh:
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return report
 
 
 def cmd_run(args) -> int:
@@ -155,32 +171,15 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     dirs = [out_dir / plan.paradigm.label.replace(":", "-") for plan in plans]
-    # spawn, not fork: a forked child would inherit the parent's BLAS
-    # thread pool mid-state
-    spawn = multiprocessing.get_context("spawn")
-    helper = None
+    jobs = [(plan, seed, d / f"seed{seed}") for plan, d in zip(plans, dirs) for seed in seeds]
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-                reports = list(
-                    pool.map(run_experiment, plans, repeat(run_cfg), repeat(seeds), dirs)
-                )
-        else:
-            if _available_cpus() >= 2 and any(helper_phases(p) for p in plans):
-                # One process trains leaf phases beside the main path.  It
-                # starts and imports lrpath now, while the first phases train.
-                helper = ProcessPoolExecutor(max_workers=1, mp_context=spawn)
-                helper.submit(_ready)
-            reports = [run_experiment(p, run_cfg, seeds, d, helper) for p, d in zip(plans, dirs)]
+        results = [reports for reports, _ in run_all(jobs, run_cfg, args.jobs)]
     except (LrPathError, BrokenExecutor) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    finally:
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)
 
-    summary = {report["paradigm"]: report for report in reports}
-    out_dir.mkdir(parents=True, exist_ok=True)
+    per_seed = [results[k * len(seeds) : (k + 1) * len(seeds)] for k in range(len(plans))]
+    summary = {p.paradigm.label: _write_report(p, seeds, r, d) for p, r, d in zip(plans, per_seed, dirs)}
     with atomic_open(out_dir / "report.json", "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_dir / 'report.json'}")
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute experiments from a JSON config")
     p.add_argument("config")
     p.add_argument("--out", default=".", help="output directory (default: the current one)")
-    p.add_argument("--jobs", type=_parse_jobs, default=1, help="paradigms run in parallel")
+    p.add_argument("--jobs", type=_parse_jobs, default=_available_cpus(), help="training processes")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="merge reports into a comparison table")

@@ -10,9 +10,10 @@ the acceptance suite relies on.
 from __future__ import annotations
 
 import dataclasses
-import json
+import heapq
 import math
-from concurrent.futures import Executor, Future
+import multiprocessing
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,7 +38,7 @@ from .lineage import (
     save_payload,
 )
 from .paradigm import (
-    Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, plan_cost, validate_plan,
+    Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, validate_plan,
 )
 from .schedule import JsonObject, config_from_dict, json_int, json_str
 
@@ -323,8 +324,9 @@ def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr, scratch=None) -> None:
     `scratch` is a (2, n) buffer of p's dtype that holds the temporaries
     (allocated when None).  The ops are those of
     `p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)`, in the
-    same order, so the bits do not depend on it.  A NaN or Inf gradient
-    makes the update non-finite, so it raises here.
+    same order, so the bits do not depend on it.  A non-finite update, from
+    a NaN or Inf gradient or from an lr that overflows the dtype, raises
+    here before it reaches p.
     """
     if scratch is None:
         scratch = np.empty((2, p_flat.size), dtype=p_flat.dtype)
@@ -341,9 +343,9 @@ def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr, scratch=None) -> None:
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update /= denom
+    update *= lr
     if not np.all(np.isfinite(update)):
         raise NonFiniteUpdate("non-finite Adam update")
-    update *= lr
     p_flat -= update
 
 
@@ -497,42 +499,114 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     return paradigms, spec, run_cfg, seeds
 
 
-def helper_phases(plan: TrainingPlan) -> frozenset[str]:
-    """The phases `run_single` hands to a helper process, by id.
-
-    Each is a leaf, a phase that no later phase inits from, other than the
-    plan's last.  Leaves are taken in plan order while the helper's steps
-    stay at or below those left to the main process, so the split follows
-    from the plan's step counts alone.  A plan whose only leaf is its last
-    phase (CPT, a two-stage probe) has none.
-    """
-    parents = {p.init_from for p in plan.phases}
-    total = plan_cost(plan)
-    sent: set[str] = set()
-    steps = 0
-    for phase in plan.phases[:-1]:
-        if phase.phase_id not in parents and 2 * (steps + phase.num_steps) <= total:
-            sent.add(phase.phase_id)
-            steps += phase.num_steps
-    return frozenset(sent)
-
-
 def _payload_file(phase: Phase) -> str:
     return f"ckpt/{phase.phase_id.replace('#', '_')}_final.bin"
 
 
+class _Run:
+    """One plan run with one seed: its corpus, the states that later phases
+    init from, and the phase outcomes so far.
+
+    The held-out set is the corpus head, reserved before segmentation and
+    never trained on.  A state is dropped once the last phase that inits
+    from it has started.  A phase's rank is the steps on its longest chain
+    to the end of the plan.
+    """
+
+    def __init__(self, plan: TrainingPlan, run_cfg: RunConfig, seed: int, out_dir: Optional[Path]):
+        validate_plan(plan)
+        self.plan, self.run_cfg, self.seed, self.out_dir = plan, run_cfg, seed, out_dir
+        spec = plan.spec.replace(seed=seed)
+        size = run_cfg.heldout_tokens + sum(plan.spec.increments) * run_cfg.tokens_per_step
+        corpus = make_corpus(seed, size, run_cfg.corpus_file)
+        if run_cfg.model.vocab_size < 256:
+            corpus = corpus % run_cfg.model.vocab_size
+        self.heldout = corpus[: run_cfg.heldout_tokens]
+        segments = allocate_segments(
+            spec,
+            tokens_per_step=run_cfg.tokens_per_step,
+            alpha=plan.paradigm.alpha,
+            start_offset=run_cfg.heldout_tokens,
+        )
+        self.segments = {s.segment_id: corpus[s.start_offset : s.start_offset + s.length] for s in segments}
+        self.manifest = Manifest(spec=spec, segments=segments)
+        # phase indices by the phase they init from; under None, the fresh inits
+        self.children: dict[Optional[str], list[int]] = {p.phase_id: [] for p in plan.phases}
+        self.children[None] = []
+        self.rank: dict[int, int] = {}
+        for i in reversed(range(len(plan.phases))):
+            phase = plan.phases[i]
+            below = [self.rank[c] for c in self.children[phase.phase_id]]
+            self.rank[i] = phase.num_steps + max(below, default=0)
+            self.children[phase.init_from].append(i)
+        self.users = {phase_id: len(c) for phase_id, c in self.children.items()}
+        self.states: dict[str, ModelState] = {}
+        self.outcomes: dict[str, tuple[int, Optional[EvalReport]]] = {}
+        if out_dir is not None:
+            (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
+
+    def task(self, i: int) -> tuple:
+        """The arguments of `_run_phase` for phase `i`."""
+        phase, model = self.plan.phases[i], None
+        if phase.init_from is not None:
+            model = self.states[phase.init_from]
+            self.users[phase.init_from] -= 1
+            if not self.users[phase.init_from]:
+                del self.states[phase.init_from]
+        data = np.concatenate([self.segments[r.ref_id] for r in phase.data_segments])
+        keep = self.users[phase.phase_id] > 0
+        return phase, model, data, self.heldout, self.seed, self.run_cfg, self.out_dir, keep
+
+    def done(self, i: int, outcome: tuple) -> list[int]:
+        """Record phase `i`'s `_run_phase` outcome; returns the phases that
+        init from it, which it makes ready."""
+        t, report, model = outcome
+        phase_id = self.plan.phases[i].phase_id
+        self.outcomes[phase_id] = (t, report)
+        if model is not None:
+            self.states[phase_id] = model
+        return self.children[phase_id]
+
+    def close(self) -> tuple[dict[int, EvalReport], Manifest]:
+        """Record every phase in the manifest, in plan order, and write it;
+        returns the evaluations by version and the manifest."""
+        results: dict[int, EvalReport] = {}
+        for phase in self.plan.phases:
+            t, report = self.outcomes[phase.phase_id]
+            if report is not None:
+                results[phase.version] = report
+            self.manifest.records.append(
+                CheckpointRecord(
+                    ckpt_id=f"{phase.phase_id}#final",
+                    phase_id=phase.phase_id,
+                    version=phase.version,
+                    path=phase.path.value,
+                    parent=None if phase.init_from is None else f"{phase.init_from}#final",
+                    global_step=t,
+                    metrics=dataclasses.asdict(report) if report else None,
+                    payload_file=_payload_file(phase),
+                )
+            )
+        if self.out_dir is not None:
+            save_manifest(self.manifest, self.out_dir / "manifest.json")
+        return results, self.manifest
+
+
 def _run_phase(
-    phase: Phase,
-    model: ModelState,
-    data: np.ndarray,
-    seed: int,
-    log_stride: int,
-    heldout: np.ndarray,
-    out_dir: Optional[Path],
-) -> tuple[ModelState, Optional[EvalReport]]:
-    """Train one phase, evaluate it if it emits a version checkpoint, and
-    write its payload and trace under `out_dir`."""
-    model, trace = train_phase(model, phase, data, seed, log_stride=log_stride)
+    phase: Phase, model: Optional[ModelState], data: np.ndarray, heldout: np.ndarray,
+    seed: int, run_cfg: RunConfig, out_dir: Optional[Path], keep: bool,
+) -> tuple[int, Optional[EvalReport], Optional[ModelState]]:
+    """Train one phase from `model`, or from a fresh init when it is None,
+    evaluate it if it emits a version checkpoint, and write its payload and
+    trace under `out_dir`.  Returns the step count, the evaluation and, if
+    `keep`, the state: a pool process sends back no state that nothing
+    inits from.
+    """
+    if model is None:
+        # Fresh-init seed folds in the version index so independent scratch
+        # runs differ.
+        model = init_model(run_cfg.model, seed ^ phase.version)
+    model, trace = train_phase(model, phase, data, seed, log_stride=run_cfg.log_stride)
     report = None
     if phase.emits_version_checkpoint:
         try:
@@ -545,152 +619,79 @@ def _run_phase(
             fh.write("step,lr,loss\n")
             for s, lr, loss in trace:
                 fh.write(f"{s},{lr:.12g},{loss:.12g}\n")
-    return model, report
-
-
-def _train_leaf(
-    phase: Phase,
-    model: ModelState,
-    data: np.ndarray,
-    seed: int,
-    log_stride: int,
-    heldout: np.ndarray,
-    out_dir: Optional[Path],
-) -> tuple[int, Optional[EvalReport]]:
-    """`_run_phase` in the helper process; returns the state's step count
-    and the evaluation, which is all the main process records."""
-    model, report = _run_phase(phase, model, data, seed, log_stride, heldout, out_dir)
-    return model.t, report
+    return model.t, report, model if keep else None
 
 
 def run_single(
-    plan: TrainingPlan,
-    run_cfg: RunConfig,
-    seed: int,
-    out_dir: Optional[Path] = None,
-    helper: Optional[Executor] = None,
+    plan: TrainingPlan, run_cfg: RunConfig, seed: int, out_dir: Optional[Path] = None
 ) -> tuple[dict[int, EvalReport], Manifest]:
-    """Execute all phases of a plan once with one seed.
+    """Execute all phases of a plan once with one seed, in plan order.
 
     Returns per-version evaluation reports and the populated manifest.
-    The held-out set is the corpus head, reserved before segmentation and
-    never trained on.  A state is dropped once the last phase that inits
-    from it has started.
-
-    `helper` is an executor with one worker, a process for a speed-up.  It
-    trains the plan's `helper_phases` while this process goes on with the
-    others.  Reports, manifest, payloads and traces are the same bytes
-    with a helper and without.
+    This is the serial reference for `run_all`.
     """
-    validate_plan(plan)
-    spec = plan.spec.replace(seed=seed)
-    size = run_cfg.heldout_tokens + sum(plan.spec.increments) * run_cfg.tokens_per_step
-    corpus = make_corpus(seed, size, run_cfg.corpus_file)
-    if run_cfg.model.vocab_size < 256:
-        corpus = corpus % run_cfg.model.vocab_size
-    heldout = corpus[: run_cfg.heldout_tokens]
-    segments = allocate_segments(
-        spec,
-        tokens_per_step=run_cfg.tokens_per_step,
-        alpha=plan.paradigm.alpha,
-        start_offset=run_cfg.heldout_tokens,
-    )
-    seg_map = {s.segment_id: s for s in segments}
-    manifest = Manifest(spec=spec, segments=segments)
+    run = _Run(plan, run_cfg, seed, out_dir)
+    for i in range(len(plan.phases)):
+        run.done(i, _run_phase(*run.task(i)))
+    return run.close()
 
-    if out_dir is not None:
-        (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
 
-    last_use = {p.init_from: i for i, p in enumerate(plan.phases) if p.init_from is not None}
-    sent = helper_phases(plan) if helper is not None else frozenset()
-    store: dict[str, ModelState] = {}
-    outcomes: dict[str, tuple[int, Optional[EvalReport]]] = {}
-    futures: dict[str, Future] = {}
+def run_all(
+    jobs: Sequence[tuple[TrainingPlan, int, Optional[Path]]], run_cfg: RunConfig, workers: int
+) -> list[tuple[dict[int, EvalReport], Manifest]]:
+    """Run every (plan, seed, out_dir) job; returns `run_single`'s results
+    for each, in job order, and writes the same bytes.
+
+    A phase is ready once the phase it inits from has finished.  This
+    process trains the highest-ranked ready phase; `workers - 1` spawned
+    processes train the next ones, with at most one task queued per
+    process.  `workers` is capped at the number of leaves, the phases that
+    nothing inits from, so a config that is one chain spawns nothing.
+    """
+    parents = [{p.init_from for p in plan.phases} - {None} for plan, _, _ in jobs]
+    leaves = sum(len(plan.phases) - len(ids) for (plan, _, _), ids in zip(jobs, parents))
+    spawned = min(workers, leaves) - 1
+    pool, procs = None, []
+    futures: dict[Future, tuple[int, int]] = {}
     try:
-        for i, phase in enumerate(plan.phases):
-            if phase.init_from is None:
-                # Fresh-init seed folds in the version index so independent
-                # scratch runs differ.
-                model = init_model(run_cfg.model, seed ^ phase.version)
-            elif last_use[phase.init_from] == i:
-                model = store.pop(phase.init_from)
+        if spawned > 0:
+            # spawn, not fork: a forked child would inherit the parent's BLAS
+            # thread pool mid-state
+            pool = ProcessPoolExecutor(spawned, mp_context=multiprocessing.get_context("spawn"))
+            for _ in range(spawned):
+                pool.submit(int)  # a no-op: the process starts and imports lrpath now
+        runs = [_Run(plan, run_cfg, seed, out_dir) for plan, seed, out_dir in jobs]
+        ready = [(-run.rank[i], j, i) for j, run in enumerate(runs) for i in run.children[None]]
+        heapq.heapify(ready)
+        left = sum(len(run.rank) for run in runs)  # phases not yet dispatched
+
+        def finish(j: int, i: int, outcome: tuple) -> None:
+            for c in runs[j].done(i, outcome):
+                heapq.heappush(ready, (-runs[j].rank[c], j, c))
+
+        while ready or futures:
+            mine = heapq.heappop(ready)[1:] if ready else None
+            left -= bool(mine)
+            while ready and len(futures) < 2 * spawned:
+                _, j, i = heapq.heappop(ready)
+                futures[pool.submit(_run_phase, *runs[j].task(i))] = (j, i)
+                left -= 1
+            if pool is not None and not left:
+                # Every phase is dispatched: the workers exit once their
+                # queues are empty, while this process trains on.  Shutting
+                # down drops the pool's own handles on them.
+                procs = list(pool._processes.values())
+                pool.shutdown(wait=False)
+                pool = None
+            if mine:
+                finish(*mine, _run_phase(*runs[mine[0]].task(mine[1])))
             else:
-                model = store[phase.init_from]
-            data = np.concatenate(
-                [
-                    corpus[seg_map[r.ref_id].start_offset : seg_map[r.ref_id].start_offset + seg_map[r.ref_id].length]
-                    for r in phase.data_segments
-                ]
-            )
-            if phase.phase_id in sent:
-                futures[phase.phase_id] = helper.submit(
-                    _train_leaf, phase, model, data, seed, run_cfg.log_stride, heldout, out_dir
-                )
-                continue
-            model, report = _run_phase(
-                phase, model, data, seed, run_cfg.log_stride, heldout, out_dir
-            )
-            if phase.phase_id in last_use:
-                store[phase.phase_id] = model
-            outcomes[phase.phase_id] = (model.t, report)
-        outcomes.update((pid, future.result()) for pid, future in futures.items())
+                wait(futures, return_when=FIRST_COMPLETED)
+            for future in [f for f in futures if f.done()]:
+                finish(*futures.pop(future), future.result())
     finally:
-        for future in futures.values():
-            future.cancel()
-
-    results: dict[int, EvalReport] = {}
-    for phase in plan.phases:
-        t, report = outcomes[phase.phase_id]
-        if report is not None:
-            results[phase.version] = report
-        manifest.records.append(
-            CheckpointRecord(
-                ckpt_id=f"{phase.phase_id}#final",
-                phase_id=phase.phase_id,
-                version=phase.version,
-                path=phase.path.value,
-                parent=None if phase.init_from is None else f"{phase.init_from}#final",
-                global_step=t,
-                metrics=dataclasses.asdict(report) if report else None,
-                payload_file=_payload_file(phase),
-            )
-        )
-    if out_dir is not None:
-        save_manifest(manifest, out_dir / "manifest.json")
-    return results, manifest
-
-
-def run_experiment(
-    plan: TrainingPlan,
-    run_cfg: RunConfig,
-    seeds: Sequence[int],
-    out_dir: Optional[Path] = None,
-    helper: Optional[Executor] = None,
-) -> dict:
-    """Run a plan over several seeds; returns the `report.json` document,
-    with per-seed perplexity and its mean for each version.  `helper` is
-    passed to `run_single`."""
-    per_seed: list[dict[int, EvalReport]] = []
-    for seed in seeds:
-        seed_dir = None if out_dir is None else Path(out_dir) / f"seed{seed}"
-        results, _ = run_single(plan, run_cfg, seed, seed_dir, helper)
-        per_seed.append(results)
-    versions: dict[str, dict] = {}
-    for v in sorted(per_seed[0]):
-        ppls = [r[v].ppl for r in per_seed]
-        versions[str(v)] = {
-            "ppl": ppls,
-            "nll": [r[v].nll for r in per_seed],
-            "mean_ppl": sum(ppls) / len(ppls),
-        }
-    report = {
-        "paradigm": plan.paradigm.label,
-        "seeds": list(seeds),
-        "total_steps": plan_cost(plan),
-        "versions": versions,
-    }
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        with atomic_open(Path(out_dir) / "report.json", "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return report
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        for process in procs:
+            process.join()
+    return [run.close() for run in runs]

@@ -1,9 +1,10 @@
-"""Leaf phases in a helper process, and the states `run_single` keeps.
+"""Phases in helper processes, and the states `run_single` keeps.
 
-A leaf phase is one that no later phase inits from.  `run_single` hands
-the plan's `helper_phases` to an executor; the outputs must be the bytes
-of a serial run.  `lrpath run` opens the helper itself when it has two
-CPUs; these tests force it, so they also run on a machine with one.
+`run_all` schedules every phase of a run config: this process trains the
+highest-ranked ready phase, and spawned helper processes train the next
+ones.  A leaf phase is one that no later phase inits from.  The outputs
+must be the bytes of `run_single`, the serial reference, at any worker
+count.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import multiprocessing
 import os
 import re
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,44 +30,60 @@ from lrpath.paradigm import (
     uniform_spec,
 )
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
-from lrpath.trainer import RunConfig, ToyModelConfig, helper_phases, run_single
+from lrpath.trainer import RunConfig, ToyModelConfig, run_all, run_single
 
 SCHED = ScheduleConfig(ScheduleKind.COSINE, 1e-3, 1e-4, 3, INFINITE)
 MODEL = {"vocab_size": 32, "context_len": 4, "embed_dim": 8, "hidden_dim": 16, "batch_size": 8}
 RUN_CFG = RunConfig(model=ToyModelConfig(**MODEL), tokens_per_step=20, heldout_tokens=500)
-SPAWN = multiprocessing.get_context("spawn")
 
 
-class NoSubmit(Executor):
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("constructed a process pool")
+
+
+class Inline(Executor):
+    """A process pool stand-in that runs each task at once, in this process,
+    and records the pools made, the phases submitted and the states sent
+    back."""
+
+    made: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.max_workers, self._processes = max_workers, {}
+        self.phases, self.states, self.shutdowns = [], [], []
+        Inline.made.append(self)
+
     def submit(self, fn, /, *args, **kwargs):
-        raise AssertionError(f"submitted {args[0].phase_id}")
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        if fn is trainer._run_phase:
+            self.phases.append(args[0].phase_id)
+            self.states.append(future.result()[2])
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append(wait)
 
 
-@pytest.mark.parametrize(
-    "label, expected",
-    [
-        ("path_switch:0.6", {"v1-branch", "v2-branch", "v3-branch"}),
-        ("path_switch:0.45", {"v1-branch", "v2-branch", "v3-branch"}),
-        # 2 * (30 + 60) <= 300, while v3 would give the helper 180 of 300 steps
-        ("ptfs", {"v1-scratch", "v2-scratch"}),
-        ("cpt:reset_max", set()),
-        ("cpt:keep_min", set()),
-    ],
-)
-def test_helper_phases(label, expected):
-    plan = build_plan(parse_paradigm(label), uniform_spec(4, 30, SCHED))
-    assert helper_phases(plan) == expected
+@pytest.fixture
+def inline(monkeypatch):
+    Inline.made = []
+    monkeypatch.setattr(trainer, "ProcessPoolExecutor", Inline)
+    return Inline.made
 
 
 @pytest.mark.parametrize("label", ["cpt:reset_max", "cpt:rewarm_max", "probe"])
-def test_no_leaf_submits_nothing(label):
+def test_no_leaf_submits_nothing(label, monkeypatch):
+    # a plan that is one chain has one leaf, its last phase, so even with
+    # workers to spare this process trains it all
     spec = uniform_spec(2, 20, SCHED)
     if label == "probe":
         plan = build_two_stage_probe(INFINITE, 20, 40, 20, spec)
     else:
         plan = build_plan(parse_paradigm(label), spec)
-    assert helper_phases(plan) == frozenset()
-    reports, _ = run_single(plan, RUN_CFG, 0, helper=NoSubmit())
+    monkeypatch.setattr(trainer, "ProcessPoolExecutor", NoPool)
+    [(reports, _)] = run_all([(plan, 0, None)], RUN_CFG, 4)
     assert set(reports) == {1, 2}
 
 
@@ -90,16 +107,58 @@ def test_dead_states_dropped(monkeypatch):
     assert max(alive) == 2
 
 
+def test_placement(inline, monkeypatch):
+    # the main path ranks first, so it trains here; each branch but the last
+    # goes to the one helper, which sends back no state
+    trained = []
+    train_phase = trainer.train_phase
+
+    def tracking(model, phase, *args, **kwargs):
+        trained.append(phase.phase_id)
+        return train_phase(model, phase, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_phase", tracking)
+    plan = build_plan(Paradigm.path_switch(0.6), uniform_spec(4, 30, SCHED))
+    [(reports, manifest)] = run_all([(plan, 0, None)], RUN_CFG, 2)
+    [pool] = inline
+    assert pool.max_workers == 1
+    assert pool.phases == ["v1-branch", "v2-branch", "v3-branch"]
+    assert pool.states == [None, None, None]
+    here = [pid for pid in trained if pid not in pool.phases]
+    assert here == [p.phase_id for p in plan.phases if p.path is PathKind.MAIN] + ["v4-branch"]
+    # once v3-branch is dispatched, the helper is told to exit without a wait
+    assert pool.shutdowns == [False]
+    assert (reports, manifest) == run_single(plan, RUN_CFG, 0)
+
+
+@pytest.mark.parametrize("workers", [2, 64])
+def test_workers_capped_at_leaves(inline, workers):
+    # ptfs and path_switch have four leaves each: eight in all, so at most
+    # seven helpers
+    spec = uniform_spec(4, 10, SCHED)
+    jobs = [(build_plan(parse_paradigm(label), spec), 0, None) for label in ("ptfs", "path_switch:0.6")]
+    run_all(jobs, RUN_CFG, workers)
+    [pool] = inline
+    assert pool.max_workers == min(workers, 8) - 1
+
+
+def test_jobs_default_to_available_cpus(inline, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 64)
+    cfg = run_config(tmp_path, paradigms=["ptfs", "path_switch:0.6"], seeds=[0, 1])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    [pool] = inline
+    assert pool.max_workers == 15  # 16 leaves
+
+
 def test_helper_error_names_phase_and_step():
     # v1 diverges in the helper while v2 trains here
     plan = build_plan(Paradigm.ptfs(), uniform_spec(2, 20, SCHED))
     huge = ScheduleConfig(ScheduleKind.CONSTANT, 1e300, 1e300, 0, INFINITE)
     v1 = dataclasses.replace(plan.phases[0], lr_profile=ScheduleProfile(huge))
     plan = dataclasses.replace(plan, phases=(v1, plan.phases[1]))
-    assert helper_phases(plan) == {"v1-scratch"}
-    with ProcessPoolExecutor(max_workers=1, mp_context=SPAWN) as pool:
-        with pytest.raises(NonFiniteUpdate, match=r"^phase v1-scratch, step \d+: "):
-            run_single(plan, RUN_CFG, 0, helper=pool)
+    with pytest.raises(NonFiniteUpdate, match=r"^phase v1-scratch, step \d+: "):
+        run_all([(plan, 0, None)], RUN_CFG, 2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("label, phase", [("cpt:reset_max", "v2-cpt"), ("ptfs", "v1-scratch")])
@@ -113,11 +172,10 @@ def test_eval_overflow_names_phase(label, phase):
         for p in plan.phases
     ]
     plan = dataclasses.replace(plan, phases=tuple(phases))
-    assert helper_phases(plan) == ({phase} if label == "ptfs" else set())
     message = rf"^phase {phase}: held-out nll \S+ has no finite perplexity$"
-    with ProcessPoolExecutor(max_workers=1, mp_context=SPAWN) as pool:
-        with pytest.raises(NonFiniteEval, match=message):
-            run_single(plan, RUN_CFG, 0, helper=pool)
+    with pytest.raises(NonFiniteEval, match=message):
+        run_all([(plan, 0, None)], RUN_CFG, 2)
+    assert multiprocessing.active_children() == []
 
 
 def run_config(tmp_path, **overrides):
@@ -139,43 +197,29 @@ def run_config(tmp_path, **overrides):
     return path
 
 
-def test_run_output_identical_with_helper(tmp_path, monkeypatch):
-    submitted = []
+def tree(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
 
-    class Recording(ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            if fn is trainer._train_leaf:
-                phase, heldout, out_dir = args[0], args[-2], args[-1]
-                run = (out_dir.parent.name, out_dir.name)
-                # every task carries the run's held-out array
-                assert isinstance(heldout, np.ndarray)
-                assert len(heldout) == 500
-                submitted.append((*run, phase.phase_id))
-            return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+def test_run_output_identical_with_helper(tmp_path):
     cfg = run_config(tmp_path)
     trees = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--jobs", str(workers)]) == 0
         assert multiprocessing.active_children() == []
-        trees.append({
-            str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()
-        })
+        trees.append(tree(out))
     assert "path_switch-0.45/seed1/ckpt/v3-branch_final.bin" in trees[0]
-    assert not [name for name in trees[1] if name.endswith(".tmp")]
-    assert trees[0] == trees[1]
-    branches = ["v1-branch", "v2-branch", "v3-branch"]
-    expected = {
-        (label, f"seed{seed}", phase)
-        for seed in (0, 1)
-        for label, phases in [("ptfs", ["v1-scratch", "v2-scratch"]),
-                              ("path_switch-0.6", branches), ("path_switch-0.45", branches)]
-        for phase in phases
-    }
-    assert sorted(submitted) == sorted(expected)
+    assert not [name for name in trees[2] if name.endswith(".tmp")]
+    assert trees[0] == trees[1] == trees[2]
+    # each run's files are those of the serial reference
+    _, spec, run_cfg, seeds = trainer.run_config_from_dict(json.loads(cfg.read_text()))
+    for label in ("ptfs", "cpt:reset_max", "path_switch:0.6", "path_switch:0.45"):
+        for seed in seeds:
+            run_dir = f"{label.replace(':', '-')}/seed{seed}"
+            ref = tmp_path / "serial" / run_dir
+            run_single(build_plan(parse_paradigm(label), spec), run_cfg, seed, ref)
+            assert tree(ref) == tree(tmp_path / "workers3" / run_dir)
 
 
 def test_run_failure_leaves_no_process(tmp_path, capsys, monkeypatch):
@@ -187,6 +231,22 @@ def test_run_failure_leaves_no_process(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
     err = capsys.readouterr().err
     assert err.startswith("run failed: phase v") and ", step " in err
+
+
+def test_adam_overflow_names_step(tmp_path, capsys):
+    # in float32 an lr of 1e39 is inf: the update is checked after the lr
+    # is applied, so no NaN parameter is written and the step is named
+    schedule = {"kind": "constant", "eta_max": 1e39, "eta_min": 1e39, "warmup_steps": 0}
+    cfg = run_config(tmp_path, paradigms=["cpt:reset_max"], num_versions=2, steps_per_version=1,
+                     seeds=[0], schedule=schedule)
+    _, spec, run_cfg, _ = trainer.run_config_from_dict(json.loads(cfg.read_text()))
+    assert run_cfg.model.dtype == "float32"
+    plan = build_plan(parse_paradigm("cpt:reset_max"), spec)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteUpdate, match=r"^phase v1-scratch, step 0: "):
+            run_single(plan, run_cfg, 0)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err.startswith("run failed: phase v1-scratch, step 0: ")
 
 
 def test_eval_overflow_fails_run(tmp_path, capsys, monkeypatch):
@@ -203,11 +263,11 @@ def test_helper_death_fails_run(tmp_path, capsys, monkeypatch):
     # a helper that dies (killed, out of memory) breaks its pool
     class Dying(ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
-            if fn is trainer._train_leaf:
+            if fn is trainer._run_phase:
                 return super().submit(os._exit, 1)
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Dying)
+    monkeypatch.setattr(trainer, "ProcessPoolExecutor", Dying)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
     cfg = run_config(tmp_path, paradigms=["path_switch:0.6"], seeds=[0])
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
