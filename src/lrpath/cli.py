@@ -69,6 +69,15 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     return "\n".join(text) + "\n"
 
 
+def _emit(text: str, out) -> None:
+    """Write `text` to the file `out`, replacing it whole, or to stdout."""
+    if out:
+        with atomic_open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_schedule(args) -> int:
     cfg = _schedule_from_args(args)
     start, stop, stride = args.frm, args.to, args.stride
@@ -83,10 +92,7 @@ def cmd_schedule(args) -> int:
         raise InvalidConfig(f"start ({start}) must not exceed stop ({stop})")
     rows = [[str(s), f"{lr_at(cfg, s):.12g}"] for s in range(start, stop + 1, stride)]
     text = _render_table(["step", "lr"], rows, "csv")
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -120,10 +126,7 @@ def cmd_plan(args) -> int:
         seed=args.seed,
     )
     text = plan_to_json(build_plan(kind, spec))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 

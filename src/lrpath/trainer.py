@@ -10,6 +10,7 @@ the acceptance suite relies on.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import heapq
 import math
 import multiprocessing
@@ -223,7 +224,7 @@ def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
         prev1 = x
     out = np.frombuffer(tokens, dtype=np.uint8).astype(np.int64)
     out.setflags(write=False)
-    if len(_corpus_cache) > 8:
+    if len(_corpus_cache) >= 8:
         _corpus_cache.clear()
     _corpus_cache[key] = out
     return out
@@ -505,7 +506,7 @@ def _payload_file(phase: Phase) -> str:
 
 class _Run:
     """One plan run with one seed: its corpus, the states that later phases
-    init from, and the phase outcomes so far.
+    init from, the phases' content keys and the phase outcomes so far.
 
     The held-out set is the corpus head, reserved before segmentation and
     never trained on.  A state is dropped once the last phase that inits
@@ -522,6 +523,7 @@ class _Run:
         if run_cfg.model.vocab_size < 256:
             corpus = corpus % run_cfg.model.vocab_size
         self.heldout = corpus[: run_cfg.heldout_tokens]
+        self.heldout_digest = hashlib.sha256(self.heldout).hexdigest()
         segments = allocate_segments(
             spec,
             tokens_per_step=run_cfg.tokens_per_step,
@@ -541,21 +543,38 @@ class _Run:
             self.children[phase.init_from].append(i)
         self.users = {phase_id: len(c) for phase_id, c in self.children.items()}
         self.states: dict[str, ModelState] = {}
+        self.keys: dict[str, str] = {}
         self.outcomes: dict[str, tuple[int, Optional[EvalReport]]] = {}
         if out_dir is not None:
             (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
 
     def task(self, i: int) -> tuple:
-        """The arguments of `_run_phase` for phase `i`."""
+        """The arguments of `_run_phase` for phase `i`.
+
+        The last is the phase's content key: a digest of everything that
+        fixes its outcome.  That is the parent's key (for a fresh init, the
+        model config and its seed), the phase's own fields that training
+        and evaluation read, the run seed, the trace stride, and the bytes
+        of the phase's data and of the held-out set.
+        """
         phase, model = self.plan.phases[i], None
-        if phase.init_from is not None:
+        if phase.init_from is None:
+            origin = (self.run_cfg.model, self.seed ^ phase.version)
+        else:
+            origin = self.keys[phase.init_from]
             model = self.states[phase.init_from]
             self.users[phase.init_from] -= 1
             if not self.users[phase.init_from]:
                 del self.states[phase.init_from]
         data = np.concatenate([self.segments[r.ref_id] for r in phase.data_segments])
+        content = (
+            origin, phase.phase_id, phase.num_steps, phase.lr_profile,
+            phase.emits_version_checkpoint, self.seed, self.run_cfg.log_stride,
+            hashlib.sha256(data).hexdigest(), self.heldout_digest,
+        )
+        key = self.keys[phase.phase_id] = hashlib.sha256(repr(content).encode()).hexdigest()
         keep = self.users[phase.phase_id] > 0
-        return phase, model, data, self.heldout, self.seed, self.run_cfg, self.out_dir, keep
+        return phase, model, data, self.heldout, self.seed, self.run_cfg, self.out_dir, keep, key
 
     def done(self, i: int, outcome: tuple) -> list[int]:
         """Record phase `i`'s `_run_phase` outcome; returns the phases that
@@ -592,27 +611,43 @@ class _Run:
         return results, self.manifest
 
 
+# The phase store of this process: the last phase trained here that a later
+# phase inits from, as {content key: (state, trace, evaluation)}.  It holds
+# one entry at most, so a run keeps at most one state more than it needs.
+# The state is the object the run holds, not a copy; no code mutates a
+# trained state (`train_phase` copies its input).
+_phase_store: dict[str, tuple[ModelState, list, Optional[EvalReport]]] = {}
+
+
 def _run_phase(
     phase: Phase, model: Optional[ModelState], data: np.ndarray, heldout: np.ndarray,
-    seed: int, run_cfg: RunConfig, out_dir: Optional[Path], keep: bool,
+    seed: int, run_cfg: RunConfig, out_dir: Optional[Path], keep: bool, key: str,
 ) -> tuple[int, Optional[EvalReport], Optional[ModelState]]:
     """Train one phase from `model`, or from a fresh init when it is None,
     evaluate it if it emits a version checkpoint, and write its payload and
-    trace under `out_dir`.  Returns the step count, the evaluation and, if
-    `keep`, the state: a pool process sends back no state that nothing
-    inits from.
+    trace under `out_dir`.  A phase whose content `key` is in the store is
+    not trained again: its stored outcome is written instead.  Returns the
+    step count, the evaluation and, if `keep`, the state: a pool process
+    sends back no state that nothing inits from, and only a kept state
+    enters the store.
     """
-    if model is None:
-        # Fresh-init seed folds in the version index so independent scratch
-        # runs differ.
-        model = init_model(run_cfg.model, seed ^ phase.version)
-    model, trace = train_phase(model, phase, data, seed, log_stride=run_cfg.log_stride)
-    report = None
-    if phase.emits_version_checkpoint:
-        try:
-            report = evaluate_ppl(model, heldout)
-        except NonFiniteEval as exc:
-            raise NonFiniteEval(f"phase {phase.phase_id}: {exc}") from exc
+    if key in _phase_store:
+        model, trace, report = _phase_store[key]
+    else:
+        if model is None:
+            # Fresh-init seed folds in the version index so independent
+            # scratch runs differ.
+            model = init_model(run_cfg.model, seed ^ phase.version)
+        model, trace = train_phase(model, phase, data, seed, log_stride=run_cfg.log_stride)
+        report = None
+        if phase.emits_version_checkpoint:
+            try:
+                report = evaluate_ppl(model, heldout)
+            except NonFiniteEval as exc:
+                raise NonFiniteEval(f"phase {phase.phase_id}: {exc}") from exc
+        if keep:
+            _phase_store.clear()
+            _phase_store[key] = model, trace, report
     if out_dir is not None:
         save_payload(out_dir / _payload_file(phase), model.flat, seed, model.t)
         with atomic_open(out_dir / f"trace_{phase.phase_id}.csv", "w") as fh:
@@ -651,7 +686,7 @@ def run_all(
     parents = [{p.init_from for p in plan.phases} - {None} for plan, _, _ in jobs]
     leaves = sum(len(plan.phases) - len(ids) for (plan, _, _), ids in zip(jobs, parents))
     spawned = min(workers, leaves) - 1
-    pool, procs = None, []
+    pool, manager = None, None
     futures: dict[Future, tuple[int, int]] = {}
     try:
         if spawned > 0:
@@ -678,9 +713,11 @@ def run_all(
                 left -= 1
             if pool is not None and not left:
                 # Every phase is dispatched: the workers exit once their
-                # queues are empty, while this process trains on.  Shutting
-                # down drops the pool's own handles on them.
-                procs = list(pool._processes.values())
+                # queues are empty, while this process trains on.  The
+                # pool's manager thread joins them, so the run joins it: a
+                # second joiner of a worker can lose the race to reap it and
+                # return while the worker still counts as alive.
+                manager = pool._executor_manager_thread
                 pool.shutdown(wait=False)
                 pool = None
             if mine:
@@ -692,6 +729,6 @@ def run_all(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        for process in procs:
-            process.join()
+        if manager is not None:
+            manager.join()
     return [run.close() for run in runs]

@@ -23,6 +23,7 @@ from lrpath.paradigm import (
     plan_cost,
     uniform_spec,
 )
+from lrpath import trainer
 from lrpath.cli import main
 from lrpath.cost import paradigm_cost, relative_cost
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind, lr_at
@@ -163,6 +164,9 @@ def paradigm_ppls(tmp_path_factory):
     }
     root = tmp_path_factory.mktemp("runs")
     for name, p in table.items():
+        # c6e compares v1-scratch payloads across paradigms: each must be
+        # trained in its own paradigm, not taken from the phase store
+        trainer._phase_store.clear()
         out[name] = mean_ppls(build_plan(p, SPEC), out_root=root / name)
     return out, root
 

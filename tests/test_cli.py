@@ -1,7 +1,9 @@
 import json
+from contextlib import contextmanager
 
 import pytest
 
+from lrpath import cli, lineage
 from lrpath.cli import main, parse_paradigm
 from lrpath.errors import InvalidSpec
 from lrpath.paradigm import CptVariant, Paradigm
@@ -381,3 +383,38 @@ class TestCompare:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("paradigm,")
         assert len(lines) == 3
+
+
+class HalfWrite:
+    """A file handle that writes half of the text it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--warmup", "10", "--horizon", "100"],
+    ["plan", "--paradigm", "path_switch:0.6", "--versions", "2", "--steps", "100", "--warmup", "10"],
+])
+def test_out_file_replaced_whole_or_not_at_all(argv, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.txt"
+    out.write_text("old")
+
+    @contextmanager
+    def failing(path, mode):
+        with lineage.atomic_open(path, mode) as fh:
+            yield HalfWrite(fh)
+
+    monkeypatch.setattr(cli, "atomic_open", failing)
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "no space left on device" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert out.read_text() == "old"
+    monkeypatch.undo()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert out.read_text() != "old"

@@ -50,7 +50,7 @@ class Inline(Executor):
     made: list = []
 
     def __init__(self, max_workers, mp_context=None):
-        self.max_workers, self._processes = max_workers, {}
+        self.max_workers, self._executor_manager_thread = max_workers, None
         self.phases, self.states, self.shutdowns = [], [], []
         Inline.made.append(self)
 

@@ -452,6 +452,13 @@ class TestCorpus:
         assert data.size == 5000
         assert data[257] == 1
 
+    def test_cache_holds_eight(self):
+        trainer._corpus_cache.clear()
+        for size in range(100, 110):
+            make_corpus(0, size)
+            assert len(trainer._corpus_cache) <= 8
+        assert len(trainer._corpus_cache) == 2
+
     def test_file_too_small(self, tmp_path):
         path = tmp_path / "corpus.bin"
         path.write_bytes(b"abc")
