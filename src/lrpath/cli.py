@@ -7,17 +7,16 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import cost as cost_mod
+from .documents import JsonObject, atomic_open, read_json, schema_error, write_json
 from .errors import InvalidConfig, LrPathError, SchemaMismatch
-from .lineage import atomic_open
 from .paradigm import Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_cost, plan_to_json
-from .schedule import INFINITE, JsonObject, ScheduleConfig, ScheduleKind, lr_at, schema_error
+from .schedule import INFINITE, ScheduleConfig, ScheduleKind, lr_at
 from .trainer import run_all, run_config_from_dict
 
 EXIT_OK = 0
@@ -153,15 +152,14 @@ def _write_report(plan, seeds: list[int], per_seed: list[dict], out_dir: Path) -
         "total_steps": plan_cost(plan),
         "versions": versions,
     }
-    with atomic_open(out_dir / "report.json", "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "report.json", report)
     return report
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = read_json(args.config, "run config")
+    except (OSError, SchemaMismatch) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -183,8 +181,7 @@ def cmd_run(args) -> int:
 
     per_seed = [results[k * len(seeds) : (k + 1) * len(seeds)] for k in range(len(plans))]
     summary = {p.paradigm.label: _write_report(p, seeds, r, d) for p, r, d in zip(plans, per_seed, dirs)}
-    with atomic_open(out_dir / "report.json", "w") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "report.json", summary)
     print(f"wrote {out_dir / 'report.json'}")
     return EXIT_OK
 
@@ -211,15 +208,15 @@ def cmd_compare(args) -> int:
     merged: dict[str, tuple[int, dict[int, float]]] = {}
     try:
         for path in args.reports:
-            with open(path, "r", encoding="utf-8") as fh:
-                o = JsonObject(json.load(fh), (f"report {path}",))
+            name = f"report {path}"
+            o = JsonObject(read_json(path, name), (name,))
             # one paradigm's report, or a run summary of them by label
             if "versions" in o.fields:
                 reports = [_report_from_dict(o.fields, o.at, None)]
             else:
                 reports = [o.object(label, _report_from_dict) for label in o.fields]
             merged.update((label, (steps, ppls)) for label, steps, ppls in reports)
-    except (OSError, json.JSONDecodeError, SchemaMismatch) as exc:
+    except (OSError, SchemaMismatch) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,19 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .documents import JsonObject, atomic_open, read_json, write_json
 from .errors import SchemaMismatch
 from .paradigm import PathKind, UpdateSpec, segment_steps, spec_from_dict, spec_to_dict
-from .schedule import JsonObject
 
 MANIFEST_FORMAT_VERSION = 2
 PAYLOAD_MAGIC = b"LRPC"
@@ -82,29 +78,6 @@ def allocate_segments(
 
 
 # ---------------------------------------------------------------------------
-# file writes
-
-@contextmanager
-def atomic_open(path, mode: str):
-    """Open a file that replaces `path` whole when the block exits cleanly.
-
-    The data goes to a temp file beside `path`, which `os.replace` moves
-    into place; a block that raises removes it.  A process killed midway
-    leaves `path` as it was (whole or absent), at worst with a stray temp
-    file beside it.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-# ---------------------------------------------------------------------------
 # manifest persistence
 
 def manifest_to_dict(m: Manifest) -> dict:
@@ -157,9 +130,7 @@ def manifest_from_dict(d: dict) -> Manifest:
     earlier record, the order `run_single` writes them in.
     """
     o = JsonObject(d, ("manifest document",), None, _MANIFEST_KEYS)
-    version = o.fields.get("format_version")
-    if version != MANIFEST_FORMAT_VERSION:
-        raise SchemaMismatch(f"unsupported manifest format_version {version!r}")
+    o.version(MANIFEST_FORMAT_VERSION, "manifest")
     m = Manifest(
         spec=o.object("spec", spec_from_dict),
         records=o.list("records", _record_from_dict),
@@ -178,18 +149,11 @@ def manifest_from_dict(d: dict) -> Manifest:
 
 
 def save_manifest(m: Manifest, path) -> None:
-    data = json.dumps(manifest_to_dict(m), sort_keys=True, indent=2) + "\n"
-    with atomic_open(path, "w") as fh:
-        fh.write(data)
+    write_json(path, manifest_to_dict(m))
 
 
 def load_manifest(path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"manifest is not valid JSON: {exc}") from exc
-    return manifest_from_dict(d)
+    return manifest_from_dict(read_json(path, "manifest"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ further decisions.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -17,25 +16,9 @@ from enum import Enum
 from typing import Optional, Union
 
 from . import schedule as sched
-from .errors import (
-    AlphaDegenerate,
-    InvalidConfig,
-    InvalidSpec,
-    PlanViolation,
-    SchemaMismatch,
-    UnsupportedKind,
-)
-from .schedule import (
-    DECAYING_KINDS,
-    INFINITE,
-    JsonObject,
-    ScheduleConfig,
-    ScheduleKind,
-    decay_lr,
-    json_int,
-    lr_at,
-    schema_error,
-)
+from .documents import JsonObject, json_int, schema_error, to_json
+from .errors import AlphaDegenerate, InvalidConfig, InvalidSpec, PlanViolation, UnsupportedKind
+from .schedule import DECAYING_KINDS, INFINITE, ScheduleConfig, ScheduleKind, decay_lr, lr_at
 
 PLAN_FORMAT_VERSION = 3
 
@@ -88,7 +71,8 @@ class Paradigm:
         if self.family == "cpt":
             return f"cpt:{self.variant.value}"
         if self.family == "path_switch":
-            return f"path_switch:{self.alpha:g}"
+            text = f"{self.alpha:g}"  # the short form, where it reads back as this alpha
+            return f"path_switch:{text if float(text) == self.alpha else repr(self.alpha)}"
         return self.family
 
 
@@ -634,7 +618,7 @@ def plan_to_dict(plan: TrainingPlan) -> dict:
 
 
 def plan_to_json(plan: TrainingPlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2) + "\n"
+    return to_json(plan_to_dict(plan), sort_keys=False)
 
 
 _SEGMENT_ID = re.compile(r"inc([1-9][0-9]*)/(full|prefix|remainder)")
@@ -672,9 +656,7 @@ def _phase_from_dict(d: dict, at: tuple, key) -> Phase:
 
 def plan_from_dict(d: dict) -> TrainingPlan:
     o = JsonObject(d, ("plan document",), None, _PLAN_KEYS)
-    version = o.fields.get("format_version")
-    if version != PLAN_FORMAT_VERSION:
-        raise SchemaMismatch(f"unsupported plan format_version {version!r}")
+    o.version(PLAN_FORMAT_VERSION, "plan")
     return TrainingPlan(
         paradigm=o.object("paradigm", paradigm_from_dict),
         spec=o.object("spec", spec_from_dict),

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import reprlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
-from .errors import InvalidConfig, SchemaMismatch, StepOutOfRange, UnsupportedKind
+from .documents import JsonObject, json_float
+from .errors import InvalidConfig, StepOutOfRange, UnsupportedKind
 
 INFINITE = math.inf
 
@@ -148,148 +147,6 @@ def decay_lr(cfg: ScheduleConfig, length: int, step: int) -> float:
     if cfg.kind is ScheduleKind.KNEE:
         return cfg.eta_max + (cfg.eta_min - cfg.eta_max) * (i / length)
     return _decay_value(cfg, i / length)
-
-
-# ---------------------------------------------------------------------------
-# reading JSON documents
-#
-# Every loader reads its document through these readers.  A reader gets a
-# value and where it sits: `at`, the document's name and then the keys and
-# list indices that lead to the value's parent, and the value's own `key`
-# (None for the document itself).  It returns the value or raises
-# SchemaMismatch naming the path, e.g. "phases[3].lr.config.eta_max"; the
-# path is joined and formatted only then, so reading a valid document
-# formats nothing.
-
-def schema_error(at: tuple, key, problem: str) -> SchemaMismatch:
-    keys = at[1:] if key is None else at[1:] + (key,)
-    path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)[1:]
-    return SchemaMismatch(f"malformed {at[0]}: {path + ': ' if path else ''}{problem}")
-
-
-def _wrong(at: tuple, key, expected: str, value) -> SchemaMismatch:
-    return schema_error(at, key, f"expected {expected}, got {reprlib.repr(value)}")
-
-
-def json_int(value, at: tuple, key=None, minimum: Optional[int] = None) -> int:
-    """A count: an int or an integral float such as 5e4, not true or "5"."""
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not int or (minimum is not None and value < minimum):
-        expected = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise _wrong(at, key, expected, value)
-    return value
-
-
-def json_float(value, at: tuple, key=None) -> float:
-    """A JSON number, not true or "1e-5"."""
-    if type(value) is not float and type(value) is not int:
-        raise _wrong(at, key, "a number", value)
-    return float(value)
-
-
-def json_str(value, at: tuple, key=None) -> str:
-    if type(value) is not str:
-        raise _wrong(at, key, "a string", value)
-    return value
-
-
-def json_list(value, at: tuple, key, item, length: Optional[int] = None) -> list:
-    """A list, with `length` elements if given, each read by `item`."""
-    if type(value) is not list or (length is not None and len(value) != length):
-        raise _wrong(at, key, "a list" if length is None else f"a list of {length}", value)
-    at, out = at + (key,), []
-    for i, v in enumerate(value):  # a loop: a comprehension costs a call in Python 3.11
-        out.append(item(v, at, i))
-    return out
-
-
-_REQUIRED = object()
-
-
-class JsonObject:
-    """A JSON object whose keys are all in `keys` (any key if `keys` is
-    None), read field by field.
-
-    Each field reader reads the field as the JSON reader of the same name
-    does; `int`, `float` and `str` take a value of the exact type without
-    that call, since a plan has thousands of fields.  A field is required
-    unless the reader is given a `default`, which it returns when the
-    field is absent.
-    """
-
-    __slots__ = ("fields", "at")
-
-    def __init__(self, value, at: tuple, key=None, keys: Optional[frozenset] = None):
-        if type(value) is not dict:
-            if key is None:
-                raise SchemaMismatch(f"a {at[0]} is a JSON object, not {type(value).__name__}")
-            raise _wrong(at, key, "an object", value)
-        self.fields, self.at = value, at if key is None else at + (key,)
-        if keys is not None and not keys.issuperset(value):
-            self.only(keys)
-
-    def only(self, keys: frozenset) -> None:
-        """Reject any key not in `keys`."""
-        if not keys.issuperset(self.fields):
-            unknown = ", ".join(repr(k) for k in self.fields if k not in keys)
-            raise schema_error(self.at, None, f"unknown key(s) {unknown}")
-
-    def _absent(self, key: str, default):
-        if default is _REQUIRED:
-            raise schema_error(self.at, None, f"missing key {key!r}")
-        return default
-
-    def int(self, key: str, default=_REQUIRED, minimum: Optional[int] = None):
-        if key not in self.fields:
-            return self._absent(key, default)
-        value = self.fields[key]
-        if type(value) is int and (minimum is None or value >= minimum):
-            return value
-        return json_int(value, self.at, key, minimum)
-
-    def float(self, key: str, default=_REQUIRED):
-        if key not in self.fields:
-            return self._absent(key, default)
-        value = self.fields[key]
-        return value if type(value) is float else json_float(value, self.at, key)
-
-    def bool(self, key: str, default=_REQUIRED):
-        if key not in self.fields:
-            return self._absent(key, default)
-        value = self.fields[key]
-        if type(value) is not bool:
-            raise _wrong(self.at, key, "true or false", value)
-        return value
-
-    def str(self, key: str, default=_REQUIRED, nullable: bool = False):
-        if key not in self.fields:
-            return self._absent(key, default)
-        value = self.fields[key]
-        if type(value) is str or (nullable and value is None):
-            return value
-        return json_str(value, self.at, key)
-
-    def enum(self, key: str, cls: type[Enum], default=_REQUIRED):
-        """The member of a str-valued Enum that the field names."""
-        if key not in self.fields:
-            return self._absent(key, default)
-        value = self.fields[key]
-        member = cls._value2member_map_.get(value) if type(value) is str else None
-        if member is None:
-            raise _wrong(self.at, key, "one of " + ", ".join(repr(m.value) for m in cls), value)
-        return member
-
-    def list(self, key: str, item, length: Optional[int] = None, default=_REQUIRED):
-        if key in self.fields:
-            return json_list(self.fields[key], self.at, key, item, length)
-        return self._absent(key, default)
-
-    def object(self, key: str, loader, default=_REQUIRED):
-        """The field read by `loader(value, at, key)`, which reads an object."""
-        if key in self.fields:
-            return loader(self.fields[key], self.at, key)
-        return self._absent(key, default)
 
 
 def config_to_dict(cfg: ScheduleConfig) -> dict:

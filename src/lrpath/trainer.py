@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .documents import JsonObject, atomic_open, json_int, json_str
 from .errors import (
     DataExhausted,
     EmptyEval,
@@ -33,7 +34,6 @@ from .lineage import (
     CheckpointRecord,
     Manifest,
     allocate_segments,
-    atomic_open,
     derive_seed,
     save_manifest,
     save_payload,
@@ -41,7 +41,7 @@ from .lineage import (
 from .paradigm import (
     Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, validate_plan,
 )
-from .schedule import JsonObject, config_from_dict, json_int, json_str
+from .schedule import config_from_dict
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
@@ -55,6 +55,14 @@ EVAL_BLOCK = 256
 EVAL_GROUP = 4096
 
 
+def _check_counts(config, *names: str) -> None:
+    """Raise InvalidConfig naming the first field in `names` that is not a positive integer."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ToyModelConfig:
     vocab_size: int = 256
@@ -65,10 +73,7 @@ class ToyModelConfig:
     dtype: str = "float32"  # of parameters, optimizer state and all model math
 
     def __post_init__(self):
-        for name in ("vocab_size", "context_len", "embed_dim", "hidden_dim", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
+        _check_counts(self, "vocab_size", "context_len", "embed_dim", "hidden_dim", "batch_size")
         if self.dtype not in DTYPES:
             raise InvalidConfig(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
@@ -433,9 +438,7 @@ class RunConfig:
     log_stride: int = 100
 
     def __post_init__(self):
-        for name in ("tokens_per_step", "log_stride"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be positive")
+        _check_counts(self, "tokens_per_step", "heldout_tokens", "log_stride")
         window = self.model.context_len + 1
         if self.heldout_tokens < window:
             raise InvalidConfig(

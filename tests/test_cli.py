@@ -2,11 +2,14 @@ import json
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrpath import cli, lineage
 from lrpath.cli import main, parse_paradigm
 from lrpath.errors import InvalidSpec
 from lrpath.paradigm import CptVariant, Paradigm
+from lrpath.trainer import run_config_from_dict
 
 
 class TestParseParadigm:
@@ -24,6 +27,30 @@ class TestParseParadigm:
     def test_garbage(self):
         with pytest.raises(InvalidSpec):
             parse_paradigm("adamw")
+
+    @pytest.mark.parametrize("alpha, label", [
+        (0, "path_switch:0"), (0.45, "path_switch:0.45"), (0.6, "path_switch:0.6"),
+        (1, "path_switch:1"), (0.123456789, "path_switch:0.123456789"),
+        (0.6000001, "path_switch:0.6000001"),
+    ])
+    def test_label_round_trips(self, alpha, label):
+        # a label names the alpha that trains, in reports and directory names
+        p = Paradigm.path_switch(alpha)
+        assert p.label == label
+        assert parse_paradigm(p.label) == p
+
+    @given(st.floats(0.0, 1.0))
+    def test_any_alpha_label_round_trips(self, alpha):
+        p = Paradigm.path_switch(alpha)
+        assert parse_paradigm(p.label) == p
+
+    def test_close_alphas_are_distinct_paradigms(self):
+        texts = ["path_switch:0.6000001", "path_switch:0.6"]
+        paradigms, *_ = run_config_from_dict({
+            "paradigms": texts, "num_versions": 2, "steps_per_version": 30,
+            "schedule": {"kind": "cosine", "eta_max": 1e-3, "eta_min": 1e-4, "warmup_steps": 5},
+        })
+        assert [p.label for p in paradigms] == texts
 
 
 PLAN_ARGS = ["--versions", "2", "--warmup", "10"]

@@ -1,9 +1,10 @@
-"""The document readers: plans, manifests and run configs read from JSON.
+"""The document readers: plans, manifests, run configs and reports read from JSON.
 
 A loader either returns what the document describes or raises
 SchemaMismatch naming the path of the bad value; construction errors
 (InvalidConfig, InvalidSpec, PlanViolation) pass through as they are.  It
-never raises a bare built-in exception.
+never raises a bare built-in exception, and neither does reading a file
+that is not UTF-8 or not JSON.
 """
 
 import copy
@@ -11,11 +12,22 @@ import re
 
 import pytest
 
+from lrpath.cli import main
+from lrpath.documents import (
+    JsonObject,
+    json_bool,
+    json_enum,
+    json_float,
+    json_int,
+    json_list,
+    json_str,
+)
 from lrpath.errors import InvalidConfig, InvalidSpec, PlanViolation, SchemaMismatch
 from lrpath.lineage import (
     CheckpointRecord,
     Manifest,
     allocate_segments,
+    load_manifest,
     manifest_from_dict,
     manifest_to_dict,
 )
@@ -185,3 +197,81 @@ def test_type_swap_fuzz(name):
 def test_error_names_path(make, load, path, value, message):
     with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
         load(_swapped(make(), path, value))
+
+
+# for every JSON type a document field can have: how a JsonObject reads
+# field "k", and how the reader of that type reads the field's value
+READERS = {
+    "int": (lambda o: o.int("k"), lambda v, at: json_int(v, at, "k")),
+    "int_minimum": (lambda o: o.int("k", minimum=0), lambda v, at: json_int(v, at, "k", 0)),
+    "float": (lambda o: o.float("k"), lambda v, at: json_float(v, at, "k")),
+    "bool": (lambda o: o.bool("k"), lambda v, at: json_bool(v, at, "k")),
+    "str": (lambda o: o.str("k"), lambda v, at: json_str(v, at, "k")),
+    "str_nullable": (lambda o: o.str("k", nullable=True), lambda v, at: json_str(v, at, "k", True)),
+    "enum": (lambda o: o.enum("k", ScheduleKind), lambda v, at: json_enum(v, at, "k", ScheduleKind)),
+    "list_of_2": (
+        lambda o: o.list("k", json_float, 2), lambda v, at: json_list(v, at, "k", json_float, 2),
+    ),
+}
+VALUES = [
+    0, 5, -3, 5.0, 5e4, 16.5, -0.5, True, False, "5", "1e-5", "cosine", "knee", "", None,
+    [], [1.0, 2], [1, 2, 3], ["a", 2], {}, {"k": 1},
+]
+
+
+def _outcome(read, *args):
+    try:
+        value = read(*args)
+    except SchemaMismatch as exc:
+        return "error", str(exc)
+    return "value", type(value), value
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_field_reads_as_its_reader(kind):
+    # a field of a JsonObject and the reader of its type accept the same
+    # values, and reject the others with the same message
+    field, reader = READERS[kind]
+    outcomes = []
+    for value in VALUES:
+        got = _outcome(field, JsonObject({"k": value}, ("doc", "obj")))
+        assert got == _outcome(reader, value, ("doc", "obj")), value
+        outcomes.append(got[0])
+    assert "value" in outcomes and "error" in outcomes
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_missing_field_names_its_key(kind):
+    field, _ = READERS[kind]
+    with pytest.raises(SchemaMismatch, match="^malformed doc: obj: missing key 'k'$"):
+        field(JsonObject({}, ("doc", "obj")))
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+NOT_JSON = b"{not json"
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, NOT_JSON], ids=["not_utf8", "not_json"])
+@pytest.mark.parametrize("command, message", [
+    (["run", "{path}", "--out", "{out}"], "cannot read config: run config is not "),
+    (["compare", "{path}"], "cannot read report: report {path} is not "),
+], ids=["run", "compare"])
+def test_unreadable_file_exits_2(tmp_path, capsys, content, command, message):
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_bytes(content)
+    assert main([a.format(path=path, out=out) for a in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(path=path))
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, problem", [(NOT_UTF8, "UTF-8"), (NOT_JSON, "valid JSON")],
+                         ids=["not_utf8", "not_json"])
+def test_unreadable_manifest(tmp_path, content, problem):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaMismatch, match=f"^manifest is not {problem}: "):
+        load_manifest(path)
+

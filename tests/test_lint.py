@@ -5,7 +5,8 @@ module-level name (`_x`) that nothing in the package refers to: both are
 what a deletion leaves behind.  It also fails on an `except` clause that
 catches a built-in error a bug raises (`TypeError`, `KeyError`, ...):
 such a clause relabels the bug as bad input.  Input is checked by the
-readers of `schedule`, which raise SchemaMismatch.
+readers of `documents`, which raise SchemaMismatch, and `documents` is the
+one module that imports `json` or defines a `json_*` reader.
 """
 
 import ast
@@ -105,3 +106,20 @@ def test_no_catch_all_except(module):
         and (node.type is None or _caught_names(node) & CATCH_ALL)
     ]
     assert not found, f"except clauses that catch what a bug raises: {found}"
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"documents.py"}))
+def test_json_is_read_and_written_in_documents_only(module):
+    found = []
+    for node in ast.walk(MODULES[module]):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [node.module or ""]
+        else:
+            imported = []
+        if any(name.split(".")[0] == "json" for name in imported):
+            found.append(f"{module}:{node.lineno} imports json")
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("json_"):
+            found.append(f"{module}:{node.lineno} defines {node.name}")
+    assert not found, f"JSON handled outside documents.py: {found}"

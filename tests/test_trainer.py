@@ -67,6 +67,12 @@ class TestModelSetup:
             ("tokens_per_step", 0, "tokens_per_step"),
             ("log_stride", 0, "log_stride"),
             ("heldout_tokens", TINY.context_len, "evaluation window"),
+            # a fractional count would pass here and fail inside numpy, or
+            # pick trace steps that are not whole steps
+            ("heldout_tokens", 500.5, "heldout_tokens must be a positive integer, got 500.5"),
+            ("log_stride", 2.5, "log_stride must be a positive integer, got 2.5"),
+            ("tokens_per_step", 64.0, "tokens_per_step must be a positive integer, got 64.0"),
+            ("log_stride", True, "log_stride must be a positive integer, got True"),
         ],
     )
     def test_run_config_validation(self, field, value, message):
