@@ -6,8 +6,9 @@ of plan construction, so they double as a cross-check for compiled plans.
 
 from __future__ import annotations
 
+from .data import fast_decay_steps
 from .errors import InvalidArgument
-from .paradigm import Paradigm, fast_decay_steps
+from .paradigm import Paradigm
 
 
 def paradigm_cost(kind: Paradigm, n: int, t: int) -> int:

@@ -56,7 +56,7 @@ def read_json(path, name: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"{name} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise SchemaMismatch(f"{name} is not valid JSON: {exc}") from exc
 
 
@@ -94,7 +94,10 @@ def json_float(value, at: tuple, key=None) -> float:
     """A JSON number, not true or "1e-5"."""
     if type(value) is not float and type(value) is not int:
         raise _wrong(at, key, "a number", value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise _wrong(at, key, "a number in the float range", value) from None
 
 
 def json_bool(value, at: tuple, key=None) -> bool:

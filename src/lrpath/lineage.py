@@ -1,4 +1,4 @@
-"""Checkpoint lineage and data-segment bookkeeping.
+"""Checkpoint lineage: the manifest and the checkpoint payloads.
 
 The manifest records who initialized whom, on which data slice, with
 which metrics.  It serializes to a canonical JSON document (sorted keys)
@@ -9,33 +9,20 @@ are flat little-endian float64 arrays with a small binary header.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .data import DataSegment
 from .documents import JsonObject, atomic_open, read_json, write_json
 from .errors import SchemaMismatch
-from .paradigm import PathKind, UpdateSpec, segment_steps, spec_from_dict, spec_to_dict
+from .paradigm import PathKind, UpdateSpec, spec_from_dict, spec_to_dict
 
 MANIFEST_FORMAT_VERSION = 2
 PAYLOAD_MAGIC = b"LRPC"
 _HEADER = struct.Struct("<4sIQQQ")  # magic, format version, param count, seed, step
-
-
-def derive_seed(seed: int, name: str) -> int:
-    """Stable 64-bit sub-seed for a named stream."""
-    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-@dataclass(frozen=True)
-class DataSegment:
-    segment_id: str  # matches SegmentRef.ref_id, e.g. "inc2/prefix"
-    start_offset: int  # tokens
-    length: int  # tokens
 
 
 @dataclass(frozen=True)
@@ -55,26 +42,6 @@ class Manifest:
     spec: UpdateSpec
     records: list[CheckpointRecord] = field(default_factory=list)
     segments: list[DataSegment] = field(default_factory=list)
-
-
-def allocate_segments(
-    spec: UpdateSpec,
-    tokens_per_step: int,
-    alpha: Optional[float] = None,
-    start_offset: int = 0,
-) -> list[DataSegment]:
-    """Deterministic disjoint token segments, laid out from `start_offset`.
-
-    The segments are those of `paradigm.segment_steps(spec, alpha)`, in
-    its order, `tokens_per_step` tokens per step; together they cover
-    exactly `sum(spec.increments) * tokens_per_step` tokens.
-    """
-    segments: list[DataSegment] = []
-    cursor = start_offset
-    for ref_id, steps in segment_steps(spec, alpha).items():
-        segments.append(DataSegment(ref_id, cursor, steps * tokens_per_step))
-        cursor += steps * tokens_per_step
-    return segments
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ further decisions.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 from . import schedule as sched
+from .data import allocate_segments, fast_decay_steps
 from .documents import JsonObject, json_int, schema_error, to_json
 from .errors import AlphaDegenerate, InvalidConfig, InvalidSpec, PlanViolation, UnsupportedKind
 from .schedule import DECAYING_KINDS, INFINITE, ScheduleConfig, ScheduleKind, decay_lr, lr_at
@@ -234,32 +234,6 @@ def _constant_profile(base: ScheduleConfig, warmup: int) -> ScheduleProfile:
     return ScheduleProfile(cfg)
 
 
-def fast_decay_steps(t: int, alpha: float) -> int:
-    """Fast-decay steps of a t-step increment: floor(alpha * t), guarded
-    against float slop just below an integer.  Plans, segments and costs
-    all split an increment this way; the main path keeps the rest."""
-    return math.floor(alpha * t + 1e-9)
-
-
-def segment_steps(spec: UpdateSpec, alpha: Optional[float]) -> dict[str, int]:
-    """Training steps of each data segment, by ref id, in corpus order.
-
-    Without `alpha` each increment is one "full" segment.  Path switching
-    splits each increment at its fork into a main-path "prefix" and the
-    fast-decay "remainder"; a part with no steps has no segment.
-    """
-    out: dict[str, int] = {}
-    for i, t in enumerate(spec.increments, start=1):
-        if alpha is None:
-            out[SegmentRef(i, "full").ref_id] = t
-            continue
-        prefix = t - fast_decay_steps(t, alpha)
-        for part, steps in (("prefix", prefix), ("remainder", t - prefix)):
-            if steps:
-                out[SegmentRef(i, part).ref_id] = steps
-    return out
-
-
 def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
     """Compile (paradigm, scenario) into an explicit phase sequence."""
     base = spec.base_schedule
@@ -334,12 +308,11 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
 
     elif kind.family == "path_switch":
         alpha = kind.alpha
-        split = segment_steps(spec, alpha)
         main_tip: Optional[str] = None
         for i in range(1, n + 1):
             prefix, rest = SegmentRef(i, "prefix"), SegmentRef(i, "remainder")
-            m = split.get(prefix.ref_id, 0)
-            b = split.get(rest.ref_id, 0)
+            b = fast_decay_steps(inc[i - 1], alpha)
+            m = inc[i - 1] - b
             if b < 1:
                 raise AlphaDegenerate(
                     f"alpha={alpha} leaves no fast-decay steps for "
@@ -469,10 +442,10 @@ def validate_plan(plan: TrainingPlan) -> None:
     The spec and each phase checked their own rules when they were built;
     this raises PlanViolation for the first broken rule across phases.  A
     plan that passes has unique phase ids, each `init_from` names an
-    earlier phase, and each data segment is one that `segment_steps`
-    allocates for the plan.
+    earlier phase, and each data segment is one that `allocate_segments`
+    lays out for the plan.
     """
-    segments = segment_steps(plan.spec, plan.paradigm.alpha)
+    segments = {s.segment_id for s in allocate_segments(plan.spec, 1, plan.paradigm.alpha)}
     seen: set[str] = set()
     emitted: dict[int, str] = {}
     eta_max = plan.spec.base_schedule.eta_max

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .data import allocate_segments, corpus_size, derive_seed, make_corpus, sample_windows
 from .documents import JsonObject, atomic_open, json_int, json_str
 from .errors import (
     DataExhausted,
@@ -30,14 +31,7 @@ from .errors import (
     NonFiniteUpdate,
     ShapeMismatch,
 )
-from .lineage import (
-    CheckpointRecord,
-    Manifest,
-    allocate_segments,
-    derive_seed,
-    save_manifest,
-    save_payload,
-)
+from .lineage import CheckpointRecord, Manifest, save_manifest, save_payload
 from .paradigm import (
     Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, validate_plan,
 )
@@ -166,80 +160,6 @@ def init_model(cfg: ToyModelConfig, seed: int) -> ModelState:
     flat = np.concatenate(chunks).astype(cfg.dtype, copy=False)
     del chunks  # freed before ModelState allocates the moments
     return ModelState(cfg, flat)
-
-
-# ---------------------------------------------------------------------------
-# data
-
-_corpus_cache: dict[tuple, np.ndarray] = {}
-
-
-def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
-    """Deterministic byte stream from a seeded order-2 Markov source.
-
-    16 latent modes, each an affine next-byte rule with occasional uniform
-    noise; modes persist for a few hundred tokens.  With `path` set, the
-    file's bytes are used instead (truncated to `size`).
-    """
-    if size < 1:
-        raise DataExhausted(f"corpus size must be >= 1, got {size}")
-    key = (seed, size, path)
-    if path is None and key in _corpus_cache:
-        return _corpus_cache[key]
-    if path is not None:
-        raw = Path(path).read_bytes()  # OSError on missing path
-        if len(raw) < size:
-            raise DataExhausted(
-                f"file {path} holds {len(raw)} bytes, need {size}"
-            )
-        return np.frombuffer(raw[:size], dtype=np.uint8).astype(np.int64)
-
-    n_modes = 16
-    rng = np.random.default_rng(seed)
-    coef_a = rng.integers(1, 256, size=n_modes)
-    coef_b = rng.integers(1, 256, size=n_modes)
-    coef_c = rng.integers(0, 256, size=n_modes)
-
-    # Piecewise-constant latent mode: switch points drawn per position,
-    # then expanded without a Python loop.
-    switch = rng.random(size) < (1.0 / 512.0)
-    mode_draws = rng.integers(0, n_modes, size=size)
-    idx = np.flatnonzero(switch)
-    boundaries = np.concatenate(([0], idx))
-    values = np.concatenate(([mode_draws[0]], mode_draws[idx]))
-    mode = values[np.searchsorted(boundaries, np.arange(size), side="right") - 1]
-
-    noisy = rng.random(size) < 0.08
-    noise_vals = rng.integers(0, 256, size=size)
-
-    # The recurrence runs on Python ints, several times faster than on
-    # numpy scalars, with the same arithmetic in the same order.  Every
-    # token is a byte, so the streams are iterated and built as bytes.
-    rules = list(zip(coef_a.tolist(), coef_b.tolist(), coef_c.tolist()))
-    noise = noise_vals.astype(np.uint8).tobytes()
-    tokens = bytearray(noise[:2])
-    prev1, prev2 = tokens[-1], tokens[0]
-    steps = zip(noisy[2:].tobytes(), noise[2:], mode[2:].astype(np.uint8).tobytes())
-    for is_noise, x, m in steps:
-        if not is_noise:
-            a, b, c = rules[m]
-            x = (a * prev1 + b * prev2 + c) % 256
-        tokens.append(x)
-        prev2 = prev1
-        prev1 = x
-    out = np.frombuffer(tokens, dtype=np.uint8).astype(np.int64)
-    out.setflags(write=False)
-    if len(_corpus_cache) >= 8:
-        _corpus_cache.clear()
-    _corpus_cache[key] = out
-    return out
-
-
-def sample_windows(data: np.ndarray, rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-    if len(data) < width:
-        raise DataExhausted(f"segment of {len(data)} tokens is shorter than a window ({width})")
-    starts = rng.integers(0, len(data) - width + 1, size=count)
-    return data[starts[:, None] + np.arange(width)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +385,7 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
 
     Paradigms and seeds are lists without repeats, since each names an
     output directory; a seed also lies in [0, 2**64), the payload header's
-    range.
+    range.  A `corpus_file` must hold the `corpus_size` tokens the run needs.
     """
     o = JsonObject(d, ("run config",), None, _RUN_CONFIG_KEYS)
     texts = o.list("paradigms", json_str)
@@ -475,9 +395,11 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     num_versions = o.int("num_versions")
     if type(o.fields.get("steps_per_version")) is list:
         steps = o.list("steps_per_version", json_int)
+        total_steps = sum(steps)
     else:
-        steps = [o.int("steps_per_version")] * num_versions
-    spec = UpdateSpec(num_versions, tuple(steps), o.object("schedule", config_from_dict))
+        steps = o.int("steps_per_version")
+        total_steps = max(steps, 1) * num_versions  # a version trains at least one step
+    schedule = o.object("schedule", config_from_dict)
     run_cfg = RunConfig(
         model=o.object("model", _model_from_dict, ToyModelConfig()),
         tokens_per_step=o.int("tokens_per_step", 64),
@@ -485,6 +407,11 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
         corpus_file=o.str("corpus_file", None, nullable=True),
         log_stride=o.int("log_stride", 100),
     )
+    # checked before the per-version list exists: no list holds that many
+    size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, total_steps)
+    if type(steps) is int:
+        steps = [steps] * num_versions
+    spec = UpdateSpec(num_versions, tuple(steps), schedule)
     seeds = o.list("seeds", json_int, default=[0])
     if not seeds:
         raise InvalidConfig("at least one seed is required")
@@ -498,8 +425,12 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
         if labels.count(label) > 1:
             same = ", ".join(repr(t) for t, other in zip(texts, labels) if other == label)
             raise InvalidConfig(f"paradigm {label!r} is listed more than once: {same}")
-    if run_cfg.corpus_file and not Path(run_cfg.corpus_file).exists():
-        raise InvalidConfig(f"corpus file {run_cfg.corpus_file!r} does not exist")
+    if run_cfg.corpus_file:
+        if not Path(run_cfg.corpus_file).exists():
+            raise InvalidConfig(f"corpus file {run_cfg.corpus_file!r} does not exist")
+        held = Path(run_cfg.corpus_file).stat().st_size
+        if held < size:
+            raise InvalidConfig(f"corpus file {run_cfg.corpus_file!r} holds {held} bytes, need {size}")
     return paradigms, spec, run_cfg, seeds
 
 
@@ -521,17 +452,14 @@ class _Run:
         validate_plan(plan)
         self.plan, self.run_cfg, self.seed, self.out_dir = plan, run_cfg, seed, out_dir
         spec = plan.spec.replace(seed=seed)
-        size = run_cfg.heldout_tokens + sum(plan.spec.increments) * run_cfg.tokens_per_step
+        size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, sum(plan.spec.increments))
         corpus = make_corpus(seed, size, run_cfg.corpus_file)
         if run_cfg.model.vocab_size < 256:
             corpus = corpus % run_cfg.model.vocab_size
         self.heldout = corpus[: run_cfg.heldout_tokens]
         self.heldout_digest = hashlib.sha256(self.heldout).hexdigest()
         segments = allocate_segments(
-            spec,
-            tokens_per_step=run_cfg.tokens_per_step,
-            alpha=plan.paradigm.alpha,
-            start_offset=run_cfg.heldout_tokens,
+            spec, run_cfg.tokens_per_step, plan.paradigm.alpha, run_cfg.heldout_tokens
         )
         self.segments = {s.segment_id: corpus[s.start_offset : s.start_offset + s.length] for s in segments}
         self.manifest = Manifest(spec=spec, segments=segments)

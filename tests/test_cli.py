@@ -1,4 +1,5 @@
 import json
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -256,6 +257,40 @@ class TestRun:
     def test_missing_corpus_file(self, tmp_path):
         cfg = run_config(tmp_path, corpus_file=str(tmp_path / "nope.bin"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("held", [3, 4399])
+    def test_corpus_file_size_checked_at_load(self, tmp_path, capsys, held):
+        # the run needs 2000 held-out tokens plus 40 tokens x 2 x 30 steps
+        path, out = tmp_path / "corpus.bin", tmp_path / "o"
+        path.write_bytes(bytes(held))
+        cfg = run_config(tmp_path, corpus_file=str(path))
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid config: corpus file {str(path)!r} holds {held} bytes, need 4400\n"
+        assert not out.exists()
+
+    def test_corpus_file_of_the_needed_size_runs(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        path.write_bytes((bytes(range(256)) * 20)[:4400])
+        cfg = run_config(tmp_path, corpus_file=str(path))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"num_versions": 1e300}, {"num_versions": 1e300, "steps_per_version": 0},
+         {"steps_per_version": 1e300}, {"steps_per_version": [1e300, 30]}],
+        ids=["num_versions", "num_versions_no_steps", "steps_per_version", "steps_list"],
+    )
+    def test_unindexable_run(self, tmp_path, capsys, override):
+        # the corpus would have more tokens than an array can index
+        out = tmp_path / "o"
+        assert main(["run", str(run_config(tmp_path, **override)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "invalid config: the run needs more corpus tokens than an array can index "
+            f"({sys.maxsize})\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override",

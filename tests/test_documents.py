@@ -8,11 +8,13 @@ that is not UTF-8 or not JSON.
 """
 
 import copy
+import json
 import re
 
 import pytest
 
 from lrpath.cli import main
+from lrpath.data import allocate_segments
 from lrpath.documents import (
     JsonObject,
     json_bool,
@@ -26,7 +28,6 @@ from lrpath.errors import InvalidConfig, InvalidSpec, PlanViolation, SchemaMisma
 from lrpath.lineage import (
     CheckpointRecord,
     Manifest,
-    allocate_segments,
     load_manifest,
     manifest_from_dict,
     manifest_to_dict,
@@ -164,6 +165,9 @@ def test_type_swap_fuzz(name):
          "malformed plan document: phases[2].lr.config.eta_max: expected a number, got True"),
         (_ptfs_plan, plan_from_dict, ("spec", "base_schedule", "eta_min"), "1e-5",
          "malformed plan document: spec.base_schedule.eta_min: expected a number, got '1e-5'"),
+        (_ptfs_plan, plan_from_dict, ("spec", "base_schedule", "eta_max"), 10**400,
+         "malformed plan document: spec.base_schedule.eta_max: expected a number in the float "
+         "range, got 100000000000000000...0000000000000000000"),
         (_ptfs_plan, plan_from_dict, ("phases", 0, "phase_id"), [],
          "malformed plan document: phases[0].phase_id: expected a string, got []"),
         (_ptfs_plan, plan_from_dict, ("phases", 1, "lr", "offset"), 0,
@@ -190,7 +194,7 @@ def test_type_swap_fuzz(name):
         (_run_config, run_config_from_dict, ("schedule",), {"kind": "cosine"},
          "malformed run config: schedule: missing key 'eta_max'"),
     ],
-    ids=["plan_bool_rate", "plan_string_rate", "plan_list_id", "plan_nested_key", "plan_enum",
+    ids=["plan_bool_rate", "plan_string_rate", "plan_huge_rate", "plan_list_id", "plan_nested_key", "plan_enum",
          "manifest_step", "manifest_bool_version", "manifest_offset", "manifest_length",
          "manifest_metrics", "run_nested_key", "run_model_key", "run_steps", "run_missing_key"],
 )
@@ -215,7 +219,7 @@ READERS = {
 }
 VALUES = [
     0, 5, -3, 5.0, 5e4, 16.5, -0.5, True, False, "5", "1e-5", "cosine", "knee", "", None,
-    [], [1.0, 2], [1, 2, 3], ["a", 2], {}, {"k": 1},
+    [], [1.0, 2], [1, 2, 3], ["a", 2], {}, {"k": 1}, 10**400,
 ]
 
 
@@ -249,9 +253,11 @@ def test_missing_field_names_its_key(kind):
 
 NOT_UTF8 = b"\xff\xfe{}"
 NOT_JSON = b"{not json"
+LONG_INT = b"[1" + b"0" * 5000 + b"]"  # Python reads no integer of over 4300 digits
 
 
-@pytest.mark.parametrize("content", [NOT_UTF8, NOT_JSON], ids=["not_utf8", "not_json"])
+@pytest.mark.parametrize("content", [NOT_UTF8, NOT_JSON, LONG_INT],
+                         ids=["not_utf8", "not_json", "long_int"])
 @pytest.mark.parametrize("command, message", [
     (["run", "{path}", "--out", "{out}"], "cannot read config: run config is not "),
     (["compare", "{path}"], "cannot read report: report {path} is not "),
@@ -267,11 +273,26 @@ def test_unreadable_file_exits_2(tmp_path, capsys, content, command, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content, problem", [(NOT_UTF8, "UTF-8"), (NOT_JSON, "valid JSON")],
-                         ids=["not_utf8", "not_json"])
+@pytest.mark.parametrize(
+    "content, problem", [(NOT_UTF8, "UTF-8"), (NOT_JSON, "valid JSON"), (LONG_INT, "valid JSON")],
+    ids=["not_utf8", "not_json", "long_int"],
+)
 def test_unreadable_manifest(tmp_path, content, problem):
     path = tmp_path / "manifest.json"
     path.write_bytes(content)
     with pytest.raises(SchemaMismatch, match=f"^manifest is not {problem}: "):
         load_manifest(path)
 
+
+
+def test_float_beyond_range_exits_2(tmp_path, capsys):
+    cfg, out = _run_config(), tmp_path / "out"
+    cfg["schedule"]["eta_max"] = 10**400
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: malformed run config: schedule.eta_max: expected a "
+                          "number in the float range, got ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()

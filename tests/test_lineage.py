@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrpath.data import allocate_segments, derive_seed
 from lrpath.errors import SchemaMismatch
 from lrpath.lineage import (
     CheckpointRecord,
     Manifest,
-    allocate_segments,
     atomic_open,
-    derive_seed,
     load_manifest,
     load_payload,
     manifest_from_dict,

@@ -6,7 +6,8 @@ what a deletion leaves behind.  It also fails on an `except` clause that
 catches a built-in error a bug raises (`TypeError`, `KeyError`, ...):
 such a clause relabels the bug as bad input.  Input is checked by the
 readers of `documents`, which raise SchemaMismatch, and `documents` is the
-one module that imports `json` or defines a `json_*` reader.
+one module that imports `json` or defines a `json_*` reader.  `data` is
+the bottom layer: of the package it imports only `errors`.
 """
 
 import ast
@@ -123,3 +124,30 @@ def test_json_is_read_and_written_in_documents_only(module):
         if isinstance(node, ast.FunctionDef) and node.name.startswith("json_"):
             found.append(f"{module}:{node.lineno} defines {node.name}")
     assert not found, f"JSON handled outside documents.py: {found}"
+
+
+def _package_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(module, line) of every import from lrpath: the module's name, or
+    "lrpath" for the package itself, whose `__init__` imports the rest."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "lrpath" + (f".{node.module}" if node.module else "") if node.level else node.module
+            targets = [f"lrpath.{a.name}" for a in node.names] if base == "lrpath" else [base]
+        else:
+            continue
+        for target in targets:
+            head, _, rest = target.partition(".")
+            if head == "lrpath":
+                out.append((rest.split(".")[0] or "lrpath", node.lineno))
+    return out
+
+
+def test_data_is_the_bottom_layer():
+    # data imports no other module of the package, so modules that build
+    # on it can grow without an import cycle
+    found = [f"data.py:{line} imports {name}" for name, line in _package_imports(MODULES["data.py"])
+             if name != "errors"]
+    assert not found, f"data.py imports more of lrpath than errors: {found}"

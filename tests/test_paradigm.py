@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrpath.data import allocate_segments
 from lrpath.errors import (
     AlphaDegenerate,
     InvalidConfig,
@@ -315,6 +316,31 @@ def _manifest_doc(edit):
     doc = manifest_to_dict(Manifest(spec=uniform_spec(2, 300, BASE.replace(warmup_steps=50))))
     edit(doc)
     return manifest_from_dict(doc)
+
+
+# increments whose alpha * T is not an integer for every alpha below 1
+LAYOUT_SPEC = UpdateSpec(3, (37, 53, 41), BASE.replace(warmup_steps=5))
+LAYOUT_ALPHAS = (0.05, 0.3, 0.45, 0.6, 0.999, 1.0)
+LAYOUT_PLANS = {
+    "ptfs": build_plan(Paradigm.ptfs(), LAYOUT_SPEC),
+    **{f"cpt:{v.value}": build_plan(Paradigm.cpt(v), LAYOUT_SPEC) for v in CptVariant},
+    "probe": build_two_stage_probe(INFINITE, 37, 45, 53, LAYOUT_SPEC),
+    **{f"path_switch:{a}": build_plan(Paradigm.path_switch(a), LAYOUT_SPEC) for a in LAYOUT_ALPHAS},
+}
+
+
+@pytest.mark.parametrize("label", sorted(LAYOUT_PLANS))
+def test_plan_consumes_exactly_its_layout(label):
+    # build_plan splits increments itself; the layout must agree with it
+    assert all((a * t) % 1 for a in LAYOUT_ALPHAS[:-1] for t in LAYOUT_SPEC.increments)
+    plan = LAYOUT_PLANS[label]
+    segments = allocate_segments(plan.spec, 1, plan.paradigm.alpha)
+    steps = {s.segment_id: s.length for s in segments}
+    used = {r.ref_id for p in plan.phases for r in p.data_segments}
+    assert used - set(steps) == set(), "phases reference segments that are not laid out"
+    assert set(steps) - used == set(), "laid-out segments that no phase consumes"
+    for p in plan.phases:
+        assert p.num_steps == sum(steps[r.ref_id] for r in p.data_segments), p.phase_id
 
 
 class TestValidByConstruction:

@@ -9,7 +9,7 @@ import pytest
 from lrpath.errors import (
     DataExhausted, EmptyEval, InvalidConfig, NonFiniteEval, NonFiniteUpdate, ShapeMismatch,
 )
-from lrpath.lineage import derive_seed
+from lrpath.data import _corpus_cache, derive_seed
 from lrpath.paradigm import Paradigm, build_plan, uniform_spec
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
 from lrpath import trainer
@@ -459,11 +459,11 @@ class TestCorpus:
         assert data[257] == 1
 
     def test_cache_holds_eight(self):
-        trainer._corpus_cache.clear()
+        _corpus_cache.clear()
         for size in range(100, 110):
             make_corpus(0, size)
-            assert len(trainer._corpus_cache) <= 8
-        assert len(trainer._corpus_cache) == 2
+            assert len(_corpus_cache) <= 8
+        assert len(_corpus_cache) == 2
 
     def test_file_too_small(self, tmp_path):
         path = tmp_path / "corpus.bin"
