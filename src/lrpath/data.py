@@ -1,7 +1,8 @@
 """Which tokens a run trains and evaluates on: the corpus (the held-out set,
 then each increment's segments in version order), the segment layout, the
-named random streams and a step's windows.  Of the package it imports only
-`errors`, so every other module can build on it.
+named random streams and a step's windows.  A token is one byte: the
+corpus, its slices and the windows drawn from them are uint8 arrays.  Of
+the package it imports only `errors`, so every other module can build on it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -77,11 +77,12 @@ _corpus_cache: dict[tuple, np.ndarray] = {}
 
 
 def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
-    """Deterministic byte stream from a seeded order-2 Markov source.
+    """Deterministic byte stream from a seeded order-2 Markov source, as a
+    read-only uint8 array: a token is one byte.
 
     16 latent modes, each an affine next-byte rule with occasional uniform
     noise; modes persist for a few hundred tokens.  With `path` set, the
-    file's bytes are used instead (truncated to `size`).
+    file's first `size` bytes are used instead; the rest is never read.
     """
     if size < 1:
         raise DataExhausted(f"corpus size must be >= 1, got {size}")
@@ -89,12 +90,13 @@ def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
     if path is None and key in _corpus_cache:
         return _corpus_cache[key]
     if path is not None:
-        raw = Path(path).read_bytes()  # OSError on missing path
+        with open(path, "rb") as fh:  # OSError on missing path
+            raw = fh.read(size)
         if len(raw) < size:
             raise DataExhausted(
                 f"file {path} holds {len(raw)} bytes, need {size}"
             )
-        return np.frombuffer(raw[:size], dtype=np.uint8).astype(np.int64)
+        return np.frombuffer(raw, dtype=np.uint8)
 
     n_modes = 16
     rng = np.random.default_rng(seed)
@@ -129,7 +131,7 @@ def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
         tokens.append(x)
         prev2 = prev1
         prev1 = x
-    out = np.frombuffer(tokens, dtype=np.uint8).astype(np.int64)
+    out = np.frombuffer(tokens, dtype=np.uint8)
     out.setflags(write=False)
     if len(_corpus_cache) >= 8:
         _corpus_cache.clear()

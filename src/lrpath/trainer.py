@@ -410,7 +410,10 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     # checked before the per-version list exists: no list holds that many
     size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, total_steps)
     if type(steps) is int:
-        steps = [steps] * num_versions
+        try:
+            steps = [steps] * num_versions
+        except MemoryError:  # a corpus an array can index, but a list no memory holds
+            raise InvalidConfig(f"num_versions {num_versions} is more versions than memory can hold") from None
     spec = UpdateSpec(num_versions, tuple(steps), schedule)
     seeds = o.list("seeds", json_int, default=[0])
     if not seeds:
@@ -454,6 +457,7 @@ class _Run:
         spec = plan.spec.replace(seed=seed)
         size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, sum(plan.spec.increments))
         corpus = make_corpus(seed, size, run_cfg.corpus_file)
+        # a modulus of 256 or more leaves bytes as they are (and would not fit uint8)
         if run_cfg.model.vocab_size < 256:
             corpus = corpus % run_cfg.model.vocab_size
         self.heldout = corpus[: run_cfg.heldout_tokens]

@@ -275,21 +275,27 @@ class TestRun:
         cfg = run_config(tmp_path, corpus_file=str(path))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    UNINDEXABLE = f"the run needs more corpus tokens than an array can index ({sys.maxsize})"
+
     @pytest.mark.parametrize(
-        "override",
-        [{"num_versions": 1e300}, {"num_versions": 1e300, "steps_per_version": 0},
-         {"steps_per_version": 1e300}, {"steps_per_version": [1e300, 30]}],
-        ids=["num_versions", "num_versions_no_steps", "steps_per_version", "steps_list"],
+        "override, message",
+        [({"num_versions": 1e300}, UNINDEXABLE),
+         ({"num_versions": 1e300, "steps_per_version": 0}, UNINDEXABLE),
+         ({"steps_per_version": 1e300}, UNINDEXABLE),
+         ({"steps_per_version": [1e300, 30]}, UNINDEXABLE),
+         # an indexable corpus of 1e17 + 2000 tokens, but a per-version step
+         # list of 8e17 bytes, more than any address space holds
+         ({"num_versions": 1e17, "steps_per_version": 1, "tokens_per_step": 1},
+          "num_versions 100000000000000000 is more versions than memory can hold")],
+        ids=["num_versions", "num_versions_no_steps", "steps_per_version", "steps_list",
+             "num_versions_unlistable"],
     )
-    def test_unindexable_run(self, tmp_path, capsys, override):
-        # the corpus would have more tokens than an array can index
+    def test_unindexable_run(self, tmp_path, capsys, override, message):
+        # the corpus would have more tokens than an array can index, or the
+        # versions more entries than memory holds
         out = tmp_path / "o"
         assert main(["run", str(run_config(tmp_path, **override)), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "invalid config: the run needs more corpus tokens than an array can index "
-            f"({sys.maxsize})\n"
-        )
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -403,7 +403,8 @@ class TestEvaluate:
         # weights far from init, so that the per-row losses differ widely
         flat = rng.normal(0.0, 0.3, size=trainer._param_count(cfg)).astype(dtype)
         model = ModelState(cfg, flat)
-        heldout = make_corpus(6, windows * (cfg.context_len + 1) + 3) % vocab
+        # widened first: numpy 2 refuses `uint8 % 256`
+        heldout = make_corpus(6, windows * (cfg.context_len + 1) + 3).astype(np.int64) % vocab
         report = evaluate_ppl(model, heldout)
         assert report.tokens_evaluated == windows
         assert report == reference_evaluate(model, heldout)
@@ -428,7 +429,7 @@ class TestCorpus:
     @pytest.mark.parametrize("seed", [0, 13])
     def test_matches_numpy_scalar_reference(self, seed, size):
         data = make_corpus(seed, size)
-        assert data.dtype == np.int64 and data.shape == (size,)
+        assert data.dtype == np.uint8 and data.shape == (size,)
         np.testing.assert_array_equal(data, reference_corpus(seed, size))
 
     def test_deterministic(self):
@@ -439,12 +440,12 @@ class TestCorpus:
 
     def test_range_and_dtype(self):
         data = make_corpus(1, 5000)
-        assert data.dtype == np.int64
+        assert data.dtype == np.uint8
         assert data.min() >= 0 and data.max() < 256
 
     def test_structure_beats_uniform(self):
         # consecutive-pair entropy should be far below the 16-bit uniform bound
-        data = make_corpus(2, 200_000)
+        data = make_corpus(2, 200_000).astype(np.int64)  # a pair needs 16 bits
         pairs = data[:-1] * 256 + data[1:]
         _, counts = np.unique(pairs, return_counts=True)
         p = counts / counts.sum()
@@ -480,3 +481,88 @@ class TestCorpus:
         for row in batch[:4]:
             starts = np.flatnonzero(data[: data.size - 9] == row[0])
             assert any(np.array_equal(data[s : s + 9], row) for s in starts)
+
+
+def assert_bytes(tokens: np.ndarray, count: int) -> None:
+    """`tokens` holds `count` tokens at one byte each."""
+    assert tokens.dtype == np.uint8
+    assert tokens.size == tokens.nbytes == count
+
+
+class TestBytePath:
+    """A token is one byte wherever a run holds or ships it."""
+
+    SPEC = uniform_spec(2, 30, SCHED.replace(horizon=INFINITE), seed=5)
+    RUN_CFG = RunConfig(
+        model=dataclasses.replace(TINY, vocab_size=256), tokens_per_step=40, heldout_tokens=900
+    )
+
+    def run(self, run_cfg=RUN_CFG, paradigm=Paradigm.path_switch(0.5)):
+        return trainer._Run(build_plan(paradigm, self.SPEC), run_cfg, 3, None)
+
+    def test_generated_corpus(self):
+        _corpus_cache.clear()
+        data = make_corpus(7, 3001)
+        assert_bytes(data, 3001)
+        assert not data.flags.writeable
+        assert make_corpus(7, 3001) is data  # the cache holds the byte array
+
+    def test_file_corpus(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        path.write_bytes(bytes(range(256)) * 40)
+        data = make_corpus(0, 5000, path=str(path))
+        assert_bytes(data, 5000)
+        assert not data.flags.writeable
+
+    def test_file_read_only_as_far_as_needed(self, tmp_path):
+        # a sparse 64 MB file takes no disk; reading it whole would take 64 MB
+        path = tmp_path / "corpus.bin"
+        with open(path, "wb") as fh:
+            fh.truncate(64 * 2**20)
+        tracemalloc.start()
+        try:
+            data = make_corpus(0, 4400, path=str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert_bytes(data, 4400)
+
+    def test_short_file_names_its_size(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        path.write_bytes(b"abc")
+        with pytest.raises(DataExhausted, match=r"holds 3 bytes, need 5000$"):
+            make_corpus(0, 5000, path=str(path))
+
+    def test_heldout_and_segments(self):
+        run = self.run()
+        assert_bytes(run.heldout, self.RUN_CFG.heldout_tokens)
+        assert set(run.segments) == {s.segment_id for s in run.manifest.segments}
+        for segment in run.manifest.segments:
+            assert_bytes(run.segments[segment.segment_id], segment.length)
+
+    @pytest.mark.parametrize("paradigm", [Paradigm.ptfs(), Paradigm.path_switch(0.5)], ids=["ptfs", "path_switch"])
+    def test_task_data(self, paradigm):
+        # a PTFS phase of version 2 concatenates two increments
+        run = self.run(paradigm=paradigm)
+        for i in run.children[None]:
+            phase, _, data, heldout, *_ = run.task(i)
+            assert_bytes(data, phase.num_steps * self.RUN_CFG.tokens_per_step)
+            assert heldout is run.heldout
+
+    def test_sample_windows(self):
+        data = make_corpus(4, 2000)
+        batch = sample_windows(data, np.random.default_rng(1), count=32, width=9)
+        assert batch.shape == (32, 9)
+        assert_bytes(batch, 32 * 9)
+
+    def test_small_vocab_applies_the_modulo(self):
+        run_cfg = dataclasses.replace(self.RUN_CFG, model=TINY)
+        run = self.run(run_cfg, Paradigm.ptfs())
+        corpus = make_corpus(3, run_cfg.heldout_tokens + 2 * 30 * run_cfg.tokens_per_step)
+        assert corpus.max() >= TINY.vocab_size  # so the modulo is seen
+        assert_bytes(run.heldout, run_cfg.heldout_tokens)
+        np.testing.assert_array_equal(run.heldout, corpus[: run_cfg.heldout_tokens] % TINY.vocab_size)
+        for s in run.manifest.segments:
+            expected = corpus[s.start_offset : s.start_offset + s.length] % TINY.vocab_size
+            np.testing.assert_array_equal(run.segments[s.segment_id], expected)
