@@ -3,7 +3,7 @@
     python3 scripts/bench_pairs.py --parent HEAD --dir /tmp/pairs --pairs 10
 
 Run from anywhere inside a git checkout. Each side gets one checkout per
-directory-name length (`--name-lengths`), all of them siblings under
+directory-name length (NAME_LENGTHS), all of them siblings under
 `--dir`: the parent from `git archive`, the change from the working tree's
 tracked files as they are now. A name of one length is the same for both
 sides but for its first letter, so both run from paths of equal length
@@ -29,6 +29,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+NAME_LENGTHS = (2, 10, 24)
+SEED = 1
 
 
 def parse_args(argv=None):
@@ -39,15 +41,11 @@ def parse_args(argv=None):
     parser.add_argument("--workloads", nargs="+", default=None,
                         help="default: every workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--name-lengths", type=lambda s: [int(x) for x in s.split(",")],
-                        default=[2, 10, 24], help="comma-separated, each at least 1")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
-    parser.add_argument("--json", type=Path, default=None, help="also write every reading here")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.name_lengths or min(args.name_lengths) < 1:
-        parser.error("--pairs and every --name-lengths entry must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     return args
 
 
@@ -55,13 +53,13 @@ def git(root: Path, *cmd: str) -> bytes:
     return subprocess.run(["git", "-C", str(root), *cmd], check=True, capture_output=True).stdout
 
 
-def make_checkouts(root: Path, parent: str, base: Path, lengths: list[int]) -> dict:
+def make_checkouts(root: Path, parent: str, base: Path) -> dict:
     """{(side, length): checkout directory}, every one a fresh copy."""
     archive = git(root, "archive", "--format=tar", parent)
     tracked = [p for p in git(root, "ls-files", "-z").decode().split("\0") if p]
     base.mkdir(parents=True, exist_ok=True)
     checkouts = {}
-    for length in lengths:
+    for length in NAME_LENGTHS:
         for side in SIDES:
             dest = base / (side[0] + "x" * (length - 1))
             shutil.rmtree(dest, ignore_errors=True)
@@ -80,10 +78,11 @@ def make_checkouts(root: Path, parent: str, base: Path, lengths: list[int]) -> d
 
 def run_once(checkout: Path, workload: str, args) -> dict:
     """One `perfbench/run.py --trace 0` run; its metrics, raw wall time and digests."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(args.seconds), "--trace", "0", "--scale", args.scale]
+    results = checkout / "perfbench" / "results" / f"{workload}-seed{SEED}-trace0.json"
+    results.unlink(missing_ok=True)  # each checkout serves every pair: no earlier pair's reading
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    results = checkout / "perfbench" / "results" / f"{workload}-seed{args.seed}-trace0.json"
     if not results.exists():
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}"
                          f" without results:\n{proc.stderr.strip()[-2000:]}")
@@ -141,12 +140,12 @@ def main(argv=None) -> int:
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    checkouts = make_checkouts(root, args.parent, args.dir.resolve(), args.name_lengths)
+    checkouts = make_checkouts(root, args.parent, args.dir.resolve())
     readings: dict[str, list[dict]] = {}
     for workload in workloads:
         readings[workload] = []
         for k in range(args.pairs):
-            length = args.name_lengths[k % len(args.name_lengths)]
+            length = NAME_LENGTHS[k % len(NAME_LENGTHS)]
             pair = {"name_length": length}
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 pair[side] = run_once(checkouts[side, length], workload, args)
@@ -154,8 +153,6 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k + 1}/{args.pairs} (name length {length}): wall_s "
                   + " ".join(f"{s} {pair[s]['metrics'].get('wall_s', float('nan')):.4g}" for s in SIDES),
                   file=sys.stderr, flush=True)
-    if args.json:
-        args.json.write_text(json.dumps(readings, indent=1) + "\n", encoding="utf-8")
     for workload in workloads:
         print("\n".join(summarize(workload, readings[workload], better)))
     return 0

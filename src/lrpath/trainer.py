@@ -407,12 +407,12 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
         corpus_file=o.str("corpus_file", None, nullable=True),
         log_stride=o.int("log_stride", 100),
     )
-    # checked before the per-version list exists: no list holds that many
+    # checked before the per-version tuple exists: no tuple holds that many
     size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, total_steps)
     if type(steps) is int:
         try:
-            steps = [steps] * num_versions
-        except MemoryError:  # a corpus an array can index, but a list no memory holds
+            steps = (steps,) * num_versions
+        except MemoryError:  # a corpus an array can index, but a tuple no memory holds
             raise InvalidConfig(f"num_versions {num_versions} is more versions than memory can hold") from None
     spec = UpdateSpec(num_versions, tuple(steps), schedule)
     seeds = o.list("seeds", json_int, default=[0])

@@ -284,7 +284,7 @@ class TestRun:
          ({"steps_per_version": 1e300}, UNINDEXABLE),
          ({"steps_per_version": [1e300, 30]}, UNINDEXABLE),
          # an indexable corpus of 1e17 + 2000 tokens, but a per-version step
-         # list of 8e17 bytes, more than any address space holds
+         # tuple of 8e17 bytes, more than any address space holds
          ({"num_versions": 1e17, "steps_per_version": 1, "tokens_per_step": 1},
           "num_versions 100000000000000000 is more versions than memory can hold")],
         ids=["num_versions", "num_versions_no_steps", "steps_per_version", "steps_list",
