@@ -15,7 +15,10 @@ and the change first in odd ones. Per end-to-end metric of BENCHMARK.json
 it then prints each side's median and quartiles, the pairs the change won
 (ties count for neither side) and whether the medians differ by more than
 the parent's quartile spread; beside them the medians of the iterations'
-raw (uncalibrated) wall time, and whether the payload digests agree.
+raw (uncalibrated) wall time and of the calibrations taken after each op
+(all but an iteration's first), and whether the payload digests agree.
+A calibration that moves while raw time does not shows the heap regime
+(see perfbench's Calibration), not the change, behind a move of `wall_s`.
 """
 
 from __future__ import annotations
@@ -87,10 +90,13 @@ def run_once(checkout: Path, workload: str, args) -> dict:
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}"
                          f" without results:\n{proc.stderr.strip()[-2000:]}")
     report = json.loads(results.read_text(encoding="utf-8"))
-    raw = [it["raw_wall_s"] for it in report["iterations"] if not it["traced"]]
+    untraced = [it for it in report["iterations"] if not it["traced"]]
+    raw = [it["raw_wall_s"] for it in untraced]
+    calibration = [c for it in untraced for c in it["calibration_s"][1:]]
     return {
         "metrics": {name: m["value"] for name, m in report["metrics"].items()},
         "raw_wall_s": statistics.median(raw) if raw else None,
+        "calibration_s": statistics.median(calibration) if calibration else None,
         "correct": report["correct"],
         "failed_ops": report["failed_ops"],
         "ops": report["ops"],
@@ -111,8 +117,9 @@ def summarize(workload: str, pairs: list[dict], better: dict) -> list[str]:
     runs = [p[s] for p in pairs for s in SIDES]
     names = [n for n in better if all(n in r["metrics"] for r in runs)]
     columns = {n: (lambda r, n=n: r["metrics"][n]) for n in names}
-    if all(r["raw_wall_s"] is not None for r in runs):
-        columns["raw_wall_s"] = lambda r: r["raw_wall_s"]
+    for name in ("raw_wall_s", "calibration_s"):
+        if all(r.get(name) is not None for r in runs):
+            columns[name] = lambda r, name=name: r[name]
     for name, pick in columns.items():
         values = {s: [pick(p[s]) for p in pairs] for s in SIDES}
         (p1, pm, p3), (c1, cm, c3) = spread(values["parent"]), spread(values["change"])

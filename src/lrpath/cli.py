@@ -15,7 +15,9 @@ from pathlib import Path
 from . import cost as cost_mod
 from .documents import JsonObject, atomic_open, read_json, schema_error, write_json
 from .errors import InvalidConfig, LrPathError, SchemaMismatch
-from .paradigm import Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_cost, plan_to_json
+from .paradigm import (
+    Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_cost, plan_to_json, uniform_spec,
+)
 from .schedule import INFINITE, ScheduleConfig, ScheduleKind, lr_at
 from .trainer import run_all, run_config_from_dict
 
@@ -115,15 +117,10 @@ def cmd_cost(args) -> int:
 def cmd_plan(args) -> int:
     kind = parse_paradigm(args.paradigm)
     cfg = _schedule_from_args(args)
-    steps = args.steps
-    if len(steps) == 1:
-        steps = steps * args.versions
-    spec = UpdateSpec(
-        num_versions=args.versions,
-        increments=steps,
-        base_schedule=cfg,
-        seed=args.seed,
-    )
+    if len(args.steps) == 1:
+        spec = uniform_spec(args.versions, args.steps[0], cfg, args.seed)
+    else:
+        spec = UpdateSpec(args.versions, args.steps, cfg, args.seed)
     text = plan_to_json(build_plan(kind, spec))
     _emit(text, args.out)
     return EXIT_OK

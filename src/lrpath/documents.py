@@ -2,8 +2,9 @@
 
 Plans, manifests, run configs and reports are JSON documents.  Every
 loader reads its document through the readers here, and every writer
-encodes it with `to_json`: indent 2, a trailing newline, and sorted keys
-for every document but a plan, whose keys keep their build order.
+encodes it with `to_json`: one line per top-level key and per element of
+a top-level list, a trailing newline, and sorted keys for every document
+but a plan, whose keys keep their build order.
 """
 
 from __future__ import annotations
@@ -40,7 +41,26 @@ def atomic_open(path, mode: str):
 
 
 def to_json(doc, sort_keys: bool) -> str:
-    return json.dumps(doc, sort_keys=sort_keys, indent=2) + "\n"
+    """`doc` as JSON text with a trailing newline.
+
+    An object's keys, whose names are strings, go one per line, and a
+    non-empty list under one of them goes one element per line, so a
+    plan phase, a manifest record or a report entry is one line.  Every
+    line is encoded without `indent`, which lets json's C encoder do the
+    work; with `indent` the pure-Python encoder runs.
+    """
+    encode = json.JSONEncoder(sort_keys=sort_keys).encode
+    if type(doc) is not dict or not doc:
+        return encode(doc) + "\n"
+    lines = []
+    for key in sorted(doc) if sort_keys else doc:
+        value = doc[key]
+        if type(value) is list and value:
+            items = ",\n    ".join(map(encode, value))
+            lines.append(f"  {encode(key)}: [\n    {items}\n  ]")
+        else:
+            lines.append(f"  {encode(key)}: {encode(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def write_json(path, doc) -> None:

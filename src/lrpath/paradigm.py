@@ -132,9 +132,15 @@ def uniform_spec(
     base_schedule: ScheduleConfig,
     seed: int = 0,
 ) -> UpdateSpec:
+    """`num_versions` increments of `steps_per_version` steps each; raises
+    InvalidConfig for a count whose increments no memory can list."""
+    try:
+        increments = (steps_per_version,) * num_versions
+    except MemoryError:  # raised at once for a tuple larger than any address space
+        raise InvalidConfig(f"num_versions {num_versions} is more versions than memory can hold") from None
     return UpdateSpec(
         num_versions=num_versions,
-        increments=(steps_per_version,) * num_versions,
+        increments=increments,
         base_schedule=base_schedule,
         seed=seed,
     )
@@ -426,14 +432,45 @@ def build_two_stage_probe(
     )
 
 
-def _ancestors(plan: TrainingPlan, phase: Phase) -> list[Phase]:
-    chain = []
-    by_id = {p.phase_id: p for p in plan.phases}
-    cur = phase
-    while cur.init_from is not None:
-        cur = by_id[cur.init_from]
-        chain.append(cur)
-    return chain
+def _reused_segments(plan: TrainingPlan) -> list[bool]:
+    """For each phase, whether its trajectory (its ancestors' segments and
+    its own) holds a segment twice.
+
+    One depth-first pass over the `init_from` forest, which must link each
+    phase to an earlier one.  It keeps a count per segment on the current
+    root path and the number of segments counted twice or more.  A leaf
+    only looks its segments up: nothing below it reads the counts, and a
+    phase holds no segment twice itself (`Phase` rules that out).  So a
+    plan of scratch runs (PTFS) hashes no segment at all.
+    """
+    index = {p.phase_id: i for i, p in enumerate(plan.phases)}
+    children: list[list[int]] = [[] for _ in plan.phases]
+    roots = []
+    for i, p in enumerate(plan.phases):
+        (roots if p.init_from is None else children[index[p.init_from]]).append(i)
+    reused = [False] * len(plan.phases)
+    on_path: dict[SegmentRef, int] = {}
+    repeats = 0
+    stack = [(i, True) for i in reversed(roots)]
+    while stack:
+        i, entering = stack.pop()
+        refs = plan.phases[i].data_segments
+        if not children[i]:
+            reused[i] = repeats > 0 or bool(on_path) and any(r in on_path for r in refs)
+        elif entering:
+            for r in refs:
+                on_path[r] = on_path.get(r, 0) + 1
+                repeats += on_path[r] == 2
+            reused[i] = repeats > 0
+            stack.append((i, False))
+            stack.extend((c, True) for c in reversed(children[i]))
+        else:
+            for r in refs:
+                repeats -= on_path[r] == 2
+                on_path[r] -= 1
+                if not on_path[r]:
+                    del on_path[r]
+    return reused
 
 
 def validate_plan(plan: TrainingPlan) -> None:
@@ -475,7 +512,8 @@ def validate_plan(plan: TrainingPlan) -> None:
 
     # Path-switch geometry: branches decay completely, main phases hold
     # eta_max after warmup; no trajectory consumes a segment twice.
-    for phase in plan.phases:
+    reused = _reused_segments(plan)
+    for phase, reuses in zip(plan.phases, reused):
         first = phase.lr_profile.lr(0)
         last = phase.lr_profile.lr(phase.num_steps - 1)
         if phase.path is PathKind.BRANCH and plan.paradigm.family == "path_switch":
@@ -491,9 +529,7 @@ def validate_plan(plan: TrainingPlan) -> None:
             warm = phase.lr_profile.config.warmup_steps
             if phase.num_steps - 1 >= warm and rel(last, eta_max) > 1e-12:
                 raise PlanViolation(phase.phase_id, "main path departs from eta_max")
-        refs = [r for a in _ancestors(plan, phase) for r in a.data_segments]
-        refs.extend(phase.data_segments)
-        if len(set(refs)) != len(refs):
+        if reuses:
             raise PlanViolation(phase.phase_id, "trajectory consumes a segment twice")
 
 

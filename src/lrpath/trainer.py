@@ -9,12 +9,15 @@ the acceptance suite relies on.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import heapq
 import math
 import multiprocessing
+import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .lineage import CheckpointRecord, Manifest, save_manifest, save_payload
 from .paradigm import (
-    Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, validate_plan,
+    Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, uniform_spec, validate_plan,
 )
 from .schedule import config_from_dict
 
@@ -410,11 +413,9 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     # checked before the per-version tuple exists: no tuple holds that many
     size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, total_steps)
     if type(steps) is int:
-        try:
-            steps = (steps,) * num_versions
-        except MemoryError:  # a corpus an array can index, but a tuple no memory holds
-            raise InvalidConfig(f"num_versions {num_versions} is more versions than memory can hold") from None
-    spec = UpdateSpec(num_versions, tuple(steps), schedule)
+        spec = uniform_spec(num_versions, steps, schedule)
+    else:
+        spec = UpdateSpec(num_versions, tuple(steps), schedule)
     seeds = o.list("seeds", json_int, default=[0])
     if not seeds:
         raise InvalidConfig("at least one seed is required")
@@ -606,6 +607,59 @@ def run_single(
     return run.close()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS this process has
+    loaded, or None if none is found.  The symbols carry the build's
+    prefix and suffix: `scipy_openblas_..._num_threads64_` in numpy's
+    wheels, `openblas_..._num_threads` elsewhere."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libs = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("openblas_", ""), ("scipy_openblas_", "64_"), ("openblas_", "64_")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Within the block, this process and every process it starts run one
+    BLAS thread, so that training processes do not oversubscribe the cores.
+
+    Sets BLAS_THREAD_VARS to 1, which spawned processes read when they load
+    BLAS, and pins the OpenBLAS already loaded here; both are restored on
+    exit.  If the user has set any of the variables, it changes nothing.
+    """
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        yield
+        return
+    blas = openblas_threads()
+    threads = blas[0]() if blas else None
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        if blas:
+            blas[1](1)
+        yield
+    finally:
+        for var in BLAS_THREAD_VARS:
+            os.environ.pop(var, None)
+        if blas:
+            blas[1](threads)
+
+
 def run_all(
     jobs: Sequence[tuple[TrainingPlan, int, Optional[Path]]], run_cfg: RunConfig, workers: int
 ) -> list[tuple[dict[int, EvalReport], Manifest]]:
@@ -616,11 +670,20 @@ def run_all(
     process trains the highest-ranked ready phase; `workers - 1` spawned
     processes train the next ones, with at most one task queued per
     process.  `workers` is capped at the number of leaves, the phases that
-    nothing inits from, so a config that is one chain spawns nothing.
+    nothing inits from, so a config that is one chain spawns nothing.  A
+    run that spawns runs one BLAS thread per process (`one_blas_thread`).
     """
     parents = [{p.init_from for p in plan.phases} - {None} for plan, _, _ in jobs]
     leaves = sum(len(plan.phases) - len(ids) for (plan, _, _), ids in zip(jobs, parents))
     spawned = min(workers, leaves) - 1
+    with one_blas_thread() if spawned > 0 else nullcontext():
+        return _schedule(jobs, run_cfg, spawned)
+
+
+def _schedule(
+    jobs: Sequence[tuple[TrainingPlan, int, Optional[Path]]], run_cfg: RunConfig, spawned: int
+) -> list[tuple[dict[int, EvalReport], Manifest]]:
+    """`run_all` with `spawned` pool processes beside this one."""
     pool, manager = None, None
     futures: dict[Future, tuple[int, int]] = {}
     try:

@@ -211,6 +211,19 @@ class TestPlan:
         )
         assert rc == 2
 
+    def test_unlistable_versions_usage_error(self, capsys, tmp_path):
+        # 10**17 versions: the per-version tuple would take 8e17 bytes, so its
+        # allocation fails at once (a smaller count might really allocate)
+        out = tmp_path / "plan.json"
+        rc = main(
+            ["plan", "--paradigm", "ptfs", "--versions", str(10**17), "--steps", "1",
+             "--warmup", "0", "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: num_versions 100000000000000000 is more versions than memory can hold\n"
+        assert not out.exists()
+
 
 def run_config(tmp_path, **overrides):
     cfg = {

@@ -13,10 +13,12 @@ import re
 
 import pytest
 
-from lrpath.cli import main
+from lrpath.cli import _write_report, main
 from lrpath.data import allocate_segments
 from lrpath.documents import (
     JsonObject,
+    to_json,
+    write_json,
     json_bool,
     json_enum,
     json_float,
@@ -31,6 +33,7 @@ from lrpath.lineage import (
     load_manifest,
     manifest_from_dict,
     manifest_to_dict,
+    save_manifest,
 )
 from lrpath.paradigm import (
     CptVariant,
@@ -38,11 +41,12 @@ from lrpath.paradigm import (
     build_plan,
     plan_from_dict,
     plan_to_dict,
+    plan_to_json,
     uniform_spec,
     validate_plan,
 )
 from lrpath.schedule import ScheduleConfig, ScheduleKind
-from lrpath.trainer import run_config_from_dict
+from lrpath.trainer import EvalReport, run_config_from_dict
 
 SPEC = uniform_spec(3, 300, ScheduleConfig(ScheduleKind.KNEE, 3e-4, 3e-5, 50, 1000))
 
@@ -296,3 +300,77 @@ def test_float_beyond_range_exits_2(tmp_path, capsys):
                           "number in the float range, got ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the encoding: one line per top-level entry and per element of a top-level list
+
+
+def _assert_one_line_each(text: str) -> dict:
+    """Check that each top-level entry of the document `text`, and each
+    element of a top-level list, is one line; returns the document."""
+    doc = json.loads(text)
+    lines = iter(text.splitlines())
+    assert next(lines) == "{"
+    for key, value in doc.items():  # in the text's order
+        line = next(lines).strip().removesuffix(",")
+        if type(value) is list and value:
+            assert line == f"{json.dumps(key)}: ["
+            for element in value:
+                assert json.loads(next(lines).strip().removesuffix(",")) == element
+            assert next(lines).strip().removesuffix(",") == "]"
+        else:
+            assert json.loads("{" + line + "}") == {key: value}
+    assert next(lines) == "}"
+    assert next(lines, None) is None and text.endswith("}\n")
+    return doc
+
+
+def test_plan_phase_per_line():
+    plan = build_plan(Paradigm.path_switch(0.5), SPEC)
+    doc = _assert_one_line_each(plan_to_json(plan))
+    assert len(doc["phases"]) == len(plan.phases) == 8
+
+
+def test_manifest_record_and_segment_per_line(tmp_path):
+    doc = _manifest()
+    doc["records"].append(dict(doc["records"][0], ckpt_id="v2-scratch#final", metrics=None))
+    save_manifest(manifest_from_dict(doc), tmp_path / "manifest.json")
+    text = (tmp_path / "manifest.json").read_text(encoding="utf-8")
+    assert _assert_one_line_each(text) == doc
+    assert len(doc["records"]) == 2 and len(doc["segments"]) == 3
+
+
+def test_report_entry_per_line(tmp_path):
+    reports, per_seed = {}, [{v: EvalReport(30.0 + v + s, 3.4, 1991) for v in (1, 2, 3)} for s in (0, 1)]
+    for kind in (Paradigm.ptfs(), Paradigm.path_switch(0.5)):
+        reports[kind.label] = _write_report(build_plan(kind, SPEC), [0, 1], per_seed, tmp_path)
+        assert _assert_one_line_each((tmp_path / "report.json").read_text(encoding="utf-8")) == reports[kind.label]
+    write_json(tmp_path / "summary.json", reports)
+    text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+    assert _assert_one_line_each(text) == reports
+    assert len(text.splitlines()) == 2 + len(reports)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {}, [], "", None, 0.1, {"a": []}, {"a": {}}, {"a": [[]]}, [[], [[]]],
+        {"a": [[], [[]], [1, [2, [3, []]]]], "b": [{}], "c": [None]},
+        {"name": "naïve ☃", "ü": ["é", {"ß": [], "ø": "\u2028"}], "\u00e9": "line\nbreak"},
+        {"z": 1, "a": {"y": [2, {"x": 3, "b": 4}], "c": None}, "m": [True, False]},
+    ],
+)
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_to_json_round_trip(doc, sort_keys):
+    text = to_json(doc, sort_keys)
+    assert json.loads(text) == doc and text.endswith("\n")
+    if type(doc) is dict and doc:
+        _assert_one_line_each(text)
+
+
+def test_to_json_key_order():
+    doc = {"z": {"b": 1, "a": 2}, "a": [{"d": 1, "c": 2}]}
+    kept, ordered = json.loads(to_json(doc, False)), json.loads(to_json(doc, True))
+    assert list(kept) == ["z", "a"] and list(kept["z"]) == ["b", "a"] and list(kept["a"][0]) == ["d", "c"]
+    assert list(ordered) == ["a", "z"] and list(ordered["z"]) == ["a", "b"] and list(ordered["a"][0]) == ["c", "d"]

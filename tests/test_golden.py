@@ -131,11 +131,11 @@ EVAL_PINS_FLOAT32 = {
 
 # file under `lrpath run --out` -> sha256 of its bytes, for RUN_DOC
 RUN_OUTPUT_DIGESTS = {
-    "report.json": "5165e6f7c299fa68f13e058c1778009ec15a0a4aa648ca5376503c80da3d56c4",
-    "cpt-reset_max/report.json": "e6a88ab77b612f63664cdb37a46224ebeaf196c9903326a03305c661045fb826",
-    "cpt-reset_max/seed0/manifest.json": "2963a279b8dd06793d81313c1dc7d3ea0b2d958169cd561ee3300f74c01ec3f1",
-    "path_switch-0.6/report.json": "541b06afd863031b7bf0981400d5fb286f6b4e1aef3218cbfe703bc190055e11",
-    "path_switch-0.6/seed0/manifest.json": "c4a5af811c9e8399563415df2fa45367fd1ecb61bf794cc23dc267e65ac57988",
+    "report.json": "cc9ed3350ee92cc37459d7088bc8bd631779a07f799668f6edcbcd7a7b0fb425",
+    "cpt-reset_max/report.json": "dcc81169b58d49a34eacf628332915fd5a3a1c3e58ef95fc3edd66e79d852179",
+    "cpt-reset_max/seed0/manifest.json": "8414998dd0ed994b4ce14086dfa877ce79531b9715a4da4793bd5325f9dad755",
+    "path_switch-0.6/report.json": "5ab2e74d463409c57dab4edc44c55685488a744f0764e7af8847a287bdb1db4a",
+    "path_switch-0.6/seed0/manifest.json": "d1a693e7ec939b4a680805ff2de0a81a8ea60518aa24be0a28466f3f7861178e",
 }
 
 # sha256 of the stdout of `lrpath schedule --kind <kind>` plus these flags

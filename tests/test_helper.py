@@ -150,6 +150,67 @@ def test_jobs_default_to_available_cpus(inline, tmp_path, monkeypatch):
     assert pool.max_workers == 15  # 16 leaves
 
 
+@pytest.fixture
+def blas(monkeypatch):
+    """The default environment (no BLAS thread variable set), with the
+    loaded OpenBLAS at two threads if it is found; restored afterwards."""
+    for var in trainer.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    found = trainer.openblas_threads()
+    if found is None:
+        yield None
+        return
+    get, put = found
+    threads = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(threads)
+
+
+def _blas_state(get):
+    return {var: os.environ.get(var) for var in trainer.BLAS_THREAD_VARS}, get() if get else None
+
+
+def test_one_blas_thread_pins_and_restores(blas):
+    with trainer.one_blas_thread():
+        env, threads = _blas_state(blas)
+        assert env == dict.fromkeys(trainer.BLAS_THREAD_VARS, "1")
+        assert threads == (1 if blas else None)
+    assert _blas_state(blas) == (dict.fromkeys(trainer.BLAS_THREAD_VARS), 2 if blas else None)
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"])
+def test_one_blas_thread_respects_the_user(blas, monkeypatch, var):
+    monkeypatch.setenv(var, "3")
+    before = _blas_state(blas)
+    with trainer.one_blas_thread():
+        assert _blas_state(blas) == before
+    assert _blas_state(blas) == before
+
+
+@pytest.mark.parametrize("workers, pinned", [(1, False), (2, True)])
+def test_run_all_pins_blas_when_it_spawns(inline, blas, monkeypatch, workers, pinned):
+    # the inline pool trains its phases in this process, so every phase sees
+    # the state that spawned processes would inherit
+    seen = []
+    train_phase = trainer.train_phase
+
+    def recording(*args, **kwargs):
+        seen.append(_blas_state(blas))
+        return train_phase(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_phase", recording)
+    plan = build_plan(Paradigm.path_switch(0.6), uniform_spec(2, 20, SCHED))
+    run_all([(plan, 0, None)], RUN_CFG, workers)
+    assert len(inline) == int(pinned) and len(seen) == len(plan.phases)
+    default = (dict.fromkeys(trainer.BLAS_THREAD_VARS), 2 if blas else None)
+    one = (dict.fromkeys(trainer.BLAS_THREAD_VARS, "1"), 1 if blas else None)
+    assert seen == [one if pinned else default] * len(seen)
+    assert _blas_state(blas) == default
+
+
 def test_helper_error_names_phase_and_step():
     # v1 diverges in the helper while v2 trains here
     plan = build_plan(Paradigm.ptfs(), uniform_spec(2, 20, SCHED))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from lrpath.paradigm import (
     uniform_spec,
     validate_plan,
 )
+from lrpath.paradigm import _reused_segments
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
 
 BASE = ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 2000, 10_000)
@@ -289,6 +291,67 @@ class TestValidatePlan:
         with pytest.raises(PlanViolation, match=f"^{first.phase_id}: no data segment {ref.ref_id}") as exc:
             validate_plan(plan)
         assert exc.value.phase_id == first.phase_id
+
+
+    @pytest.mark.parametrize("trajectory_first", [True, False])
+    def test_first_violation_in_plan_order(self, trajectory_first):
+        # a branch that re-reads its main path's data, and a later branch
+        # that ends above eta_min: the one earlier in the plan is reported
+        plan = build_plan(Paradigm.path_switch(0.6), spec4())
+        phases = list(plan.phases)
+        ids = [p.phase_id for p in phases]
+        reread, bad_end = ("v1-branch", "v3-branch") if trajectory_first else ("v3-branch", "v1-branch")
+        i = ids.index(reread)
+        phases[i] = dataclasses.replace(phases[i], data_segments=phases[i - 1].data_segments)
+        j = ids.index(bad_end)
+        phases[j] = dataclasses.replace(
+            phases[j], lr_profile=DecayProfile(BASE.replace(eta_min=2 * 3e-5), phases[j].num_steps)
+        )
+        message = "trajectory consumes a segment twice" if trajectory_first else "branch does not end at eta_min"
+        with pytest.raises(PlanViolation, match=f"^{ids[min(i, j)]}: {message}$"):
+            validate_plan(dataclasses.replace(plan, phases=tuple(phases)))
+
+    def test_gate_is_linear_in_phases(self):
+        # 8999 phases; a gate that walks each phase's ancestors takes tens
+        # of seconds here, one pass well under one
+        base = ScheduleConfig(ScheduleKind.COSINE, 3e-3, 3e-4, 1, INFINITE)
+        plan = build_plan(Paradigm.path_switch(0.6), uniform_spec(3000, 10, base))
+        start = time.perf_counter()
+        validate_plan(plan)
+        assert time.perf_counter() - start < 5.0
+
+
+REFS = [SegmentRef(1, "prefix"), SegmentRef(1, "remainder"), SegmentRef(2, "prefix"), SegmentRef(2, "remainder")]
+
+
+@st.composite
+def _forest(draw):
+    """Phases p0..pn-1, each a root or inited from an earlier one, with
+    distinct segments drawn from REFS."""
+    phases = []
+    for i in range(draw(st.integers(1, 12))):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None
+        refs = draw(st.lists(st.sampled_from(REFS), max_size=3, unique=True))
+        phases.append(_phase(
+            phase_id=f"p{i}", init_from=None if parent is None else f"p{parent}",
+            data_segments=tuple(refs),
+        ))
+    return tuple(phases)
+
+
+@given(_forest())
+@settings(max_examples=200, deadline=None)
+def test_reused_segments_matches_ancestor_walk(phases):
+    by_id = {p.phase_id: p for p in phases}
+    expected = []
+    for phase in phases:
+        refs, cur = list(phase.data_segments), phase
+        while cur.init_from is not None:
+            cur = by_id[cur.init_from]
+            refs.extend(cur.data_segments)
+        expected.append(len(set(refs)) != len(refs))
+    plan = build_plan(Paradigm.ptfs(), spec4())
+    assert _reused_segments(dataclasses.replace(plan, phases=phases)) == expected
 
 
 def _phase(**changes):
