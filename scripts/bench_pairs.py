@@ -14,11 +14,13 @@ side at the k-th name length (cyclically), the parent first in even pairs
 and the change first in odd ones. Per end-to-end metric of BENCHMARK.json
 it then prints each side's median and quartiles, the pairs the change won
 (ties count for neither side) and whether the medians differ by more than
-the parent's quartile spread; beside them the medians of the iterations'
-raw (uncalibrated) wall time and of the calibrations taken after each op
-(all but an iteration's first), and whether the payload digests agree.
+the parent's quartile spread.  Beside `setup_s` and `wall_s` it prints the
+medians of the iterations' raw (uncalibrated) `raw_setup_s` and
+`raw_wall_s`, and last the median of the calibrations taken after each op
+(all but an iteration's first); then whether the payload digests agree.
 A calibration that moves while raw time does not shows the heap regime
-(see perfbench's Calibration), not the change, behind a move of `wall_s`.
+(see perfbench's Calibration), not the change, behind a move of `wall_s`
+or `setup_s`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 NAME_LENGTHS = (2, 10, 24)
 SEED = 1
+# the iterations' uncalibrated times, each printed beside the metric it is
+# the raw form of (`raw_setup_s` beside `setup_s`)
+RAW = ("raw_setup_s", "raw_wall_s")
 
 
 def parse_args(argv=None):
@@ -80,7 +85,7 @@ def make_checkouts(root: Path, parent: str, base: Path) -> dict:
 
 
 def run_once(checkout: Path, workload: str, args) -> dict:
-    """One `perfbench/run.py --trace 0` run; its metrics, raw wall time and digests."""
+    """One `perfbench/run.py --trace 0` run; its metrics, raw times and digests."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(args.seconds), "--trace", "0", "--scale", args.scale]
     results = checkout / "perfbench" / "results" / f"{workload}-seed{SEED}-trace0.json"
@@ -89,13 +94,18 @@ def run_once(checkout: Path, workload: str, args) -> dict:
     if not results.exists():
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}"
                          f" without results:\n{proc.stderr.strip()[-2000:]}")
-    report = json.loads(results.read_text(encoding="utf-8"))
+    return readings(json.loads(results.read_text(encoding="utf-8")))
+
+
+def readings(report: dict) -> dict:
+    """A perfbench report's metrics and digests, with the medians of its
+    untraced iterations' raw times and of their post-op calibrations."""
     untraced = [it for it in report["iterations"] if not it["traced"]]
-    raw = [it["raw_wall_s"] for it in untraced]
     calibration = [c for it in untraced for c in it["calibration_s"][1:]]
+    raw = {name: [it[name] for it in untraced] for name in RAW}
     return {
         "metrics": {name: m["value"] for name, m in report["metrics"].items()},
-        "raw_wall_s": statistics.median(raw) if raw else None,
+        **{name: statistics.median(values) if values else None for name, values in raw.items()},
         "calibration_s": statistics.median(calibration) if calibration else None,
         "correct": report["correct"],
         "failed_ops": report["failed_ops"],
@@ -112,16 +122,17 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _value(run: dict, name: str):
+    """A run's reading `name`: a metric of BENCHMARK.json, a raw time or the calibration."""
+    return run["metrics"][name] if name in run["metrics"] else run.get(name)
+
+
 def summarize(workload: str, pairs: list[dict], better: dict) -> list[str]:
     lines = [f"{workload}: {len(pairs)} pairs"]
     runs = [p[s] for p in pairs for s in SIDES]
-    names = [n for n in better if all(n in r["metrics"] for r in runs)]
-    columns = {n: (lambda r, n=n: r["metrics"][n]) for n in names}
-    for name in ("raw_wall_s", "calibration_s"):
-        if all(r.get(name) is not None for r in runs):
-            columns[name] = lambda r, name=name: r[name]
-    for name, pick in columns.items():
-        values = {s: [pick(p[s]) for p in pairs] for s in SIDES}
+    names = [n for metric in better for n in (metric, f"raw_{metric}")] + ["calibration_s"]
+    for name in [n for n in names if all(_value(r, n) is not None for r in runs)]:
+        values = {s: [_value(p[s], name) for p in pairs] for s in SIDES}
         (p1, pm, p3), (c1, cm, c3) = spread(values["parent"]), spread(values["change"])
         lower = better.get(name, "lower") == "lower"
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import cost as cost_mod
@@ -19,7 +18,6 @@ from .paradigm import (
     Paradigm, UpdateSpec, build_plan, parse_paradigm, plan_cost, plan_to_json, uniform_spec,
 )
 from .schedule import INFINITE, ScheduleConfig, ScheduleKind, lr_at
-from .trainer import run_all, run_config_from_dict
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -154,6 +152,11 @@ def _write_report(plan, seeds: list[int], per_seed: list[dict], out_dir: Path) -
 
 
 def cmd_run(args) -> int:
+    # the one command that trains: the others load neither numpy nor a pool
+    from concurrent.futures import BrokenExecutor
+
+    from .trainer import run_all, run_config_from_dict
+
     try:
         cfg = read_json(args.config, "run config")
     except (OSError, SchemaMismatch) as exc:

@@ -14,13 +14,11 @@ import dataclasses
 import hashlib
 import heapq
 import math
-import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +37,9 @@ from .paradigm import (
     Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, uniform_spec, validate_plan,
 )
 from .schedule import config_from_dict
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
@@ -680,6 +681,21 @@ def run_all(
         return _schedule(jobs, run_cfg, spawned)
 
 
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of `workers` spawned processes, started now.  The process
+    pool's modules are imported here, so a run that spawns nothing never
+    loads them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawn, not fork: a forked child would inherit the parent's BLAS thread
+    # pool mid-state
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    for _ in range(workers):
+        pool.submit(int)  # a no-op: the process starts now, not with the first phase
+    return pool
+
+
 def _schedule(
     jobs: Sequence[tuple[TrainingPlan, int, Optional[Path]]], run_cfg: RunConfig, spawned: int
 ) -> list[tuple[dict[int, EvalReport], Manifest]]:
@@ -688,11 +704,7 @@ def _schedule(
     futures: dict[Future, tuple[int, int]] = {}
     try:
         if spawned > 0:
-            # spawn, not fork: a forked child would inherit the parent's BLAS
-            # thread pool mid-state
-            pool = ProcessPoolExecutor(spawned, mp_context=multiprocessing.get_context("spawn"))
-            for _ in range(spawned):
-                pool.submit(int)  # a no-op: the process starts and imports lrpath now
+            pool = _start_pool(spawned)
         runs = [_Run(plan, run_cfg, seed, out_dir) for plan, seed, out_dir in jobs]
         ready = [(-run.rank[i], j, i) for j, run in enumerate(runs) for i in run.children[None]]
         heapq.heapify(ready)
@@ -721,6 +733,8 @@ def _schedule(
             if mine:
                 finish(*mine, _run_phase(*runs[mine[0]].task(mine[1])))
             else:
+                from concurrent.futures import FIRST_COMPLETED, wait  # loaded with the pool
+
                 wait(futures, return_when=FIRST_COMPLETED)
             for future in [f for f in futures if f.done()]:
                 finish(*futures.pop(future), future.result())

@@ -85,3 +85,41 @@ def test_raw_and_calibration_columns():
     row = next(line for line in lines if line.split()[0] == "calibration_s")
     assert "parent 0.021 " in row and "change 0.014 " in row
     assert lines[-1] == "  payload digests equal on both sides"
+
+
+def test_raw_setup_column_sits_beside_setup_s():
+    def run(setup_s, raw_setup_s):
+        reading = _run(1.0)
+        reading["metrics"]["setup_s"] = setup_s
+        reading["raw_setup_s"] = raw_setup_s
+        return reading
+
+    better = {"setup_s": "lower", **BETTER}
+    pairs = [{"name_length": 2, "parent": run(0.33, 0.30), "change": run(0.30, r)} for r in (0.27, 0.31)]
+    lines = bench_pairs.summarize("w", pairs, better)
+    rows = [line.split()[0] for line in lines[1:7]]
+    assert rows == ["setup_s", "raw_setup_s", "wall_s", "raw_wall_s", "plan_steps_per_s", "calibration_s"]
+    assert _row(lines, "raw_setup_s")[:2] == (1, 2)
+    row = next(line for line in lines if line.split()[0] == "raw_setup_s")
+    assert "parent 0.3 " in row and "change 0.29 " in row
+
+
+def test_readings_take_medians_of_untraced_iterations():
+    def iteration(traced, setup, wall, calibration):
+        return {"traced": traced, "raw_setup_s": setup, "raw_wall_s": wall, "calibration_s": calibration}
+
+    report = {
+        "metrics": {"setup_s": {"value": 0.3}, "wall_s": {"value": 1.0}},
+        "iterations": [
+            iteration(False, 0.30, 1.0, [0.5, 0.020, 0.022]),
+            iteration(False, 0.28, 1.2, [0.5, 0.021]),
+            iteration(False, 0.35, 0.9, [0.5, 0.023]),
+            iteration(True, 9.0, 9.0, [9.0, 9.0]),  # a traced iteration does not count
+        ],
+        "correct": True, "failed_ops": 0, "ops": 3, "payload_sha256": {},
+    }
+    got = bench_pairs.readings(report)
+    assert got["metrics"] == {"setup_s": 0.3, "wall_s": 1.0}
+    assert got["raw_setup_s"] == 0.30 and got["raw_wall_s"] == 1.0
+    # an iteration's first calibration precedes its first op
+    assert got["calibration_s"] == 0.0215

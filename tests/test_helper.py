@@ -13,7 +13,7 @@ import multiprocessing
 import os
 import re
 import weakref
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -69,7 +69,7 @@ class Inline(Executor):
 @pytest.fixture
 def inline(monkeypatch):
     Inline.made = []
-    monkeypatch.setattr(trainer, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(trainer, "_start_pool", Inline)
     return Inline.made
 
 
@@ -82,7 +82,7 @@ def test_no_leaf_submits_nothing(label, monkeypatch):
         plan = build_two_stage_probe(INFINITE, 20, 40, 20, spec)
     else:
         plan = build_plan(parse_paradigm(label), spec)
-    monkeypatch.setattr(trainer, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(trainer, "_start_pool", NoPool)
     [(reports, _)] = run_all([(plan, 0, None)], RUN_CFG, 4)
     assert set(reports) == {1, 2}
 
@@ -322,13 +322,21 @@ def test_eval_overflow_fails_run(tmp_path, capsys, monkeypatch):
 
 def test_helper_death_fails_run(tmp_path, capsys, monkeypatch):
     # a helper that dies (killed, out of memory) breaks its pool
-    class Dying(ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            if fn is trainer._run_phase:
-                return super().submit(os._exit, 1)
-            return super().submit(fn, *args, **kwargs)
+    start_pool = trainer._start_pool
 
-    monkeypatch.setattr(trainer, "ProcessPoolExecutor", Dying)
+    def dying(workers):
+        pool = start_pool(workers)
+        submit = pool.submit
+
+        def die(fn, /, *args, **kwargs):
+            if fn is trainer._run_phase:
+                return submit(os._exit, 1)
+            return submit(fn, *args, **kwargs)
+
+        pool.submit = die
+        return pool
+
+    monkeypatch.setattr(trainer, "_start_pool", dying)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
     cfg = run_config(tmp_path, paradigms=["path_switch:0.6"], seeds=[0])
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1

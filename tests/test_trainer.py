@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrpath.errors import (
     DataExhausted, EmptyEval, InvalidConfig, NonFiniteEval, NonFiniteUpdate, ShapeMismatch,
 )
-from lrpath.data import _corpus_cache, derive_seed
+from lrpath.data import SCAN_BLOCK, _corpus_cache, derive_seed
 from lrpath.paradigm import Paradigm, build_plan, uniform_spec
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
 from lrpath import trainer
@@ -424,13 +426,30 @@ class TestEvaluate:
         assert peak < 4 * 2**20
 
 
+# Corpus sizes: small ones; where the scan's layout changes, around powers of
+# two and where the tokens after the first two fill 1, 2 or 3 blocks exactly;
+# and the corpus sizes of the benchmark's workloads.
+CORPUS_SIZES = sorted(
+    {1, 2, 3, 4, 5, 513, 10_000}
+    | {2**k + d for k in (3, 7, 9, 11, 13, 16) for d in (1, 2)}
+    | {2 + k * SCAN_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)}
+    | {62_800, 69_200, 80_720}
+)
+
+
 class TestCorpus:
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 513, 10_000])
+    @pytest.mark.parametrize("size", CORPUS_SIZES)
     @pytest.mark.parametrize("seed", [0, 13])
     def test_matches_numpy_scalar_reference(self, seed, size):
         data = make_corpus(seed, size)
         assert data.dtype == np.uint8 and data.shape == (size,)
         np.testing.assert_array_equal(data, reference_corpus(seed, size))
+
+    @given(st.integers(0, 2**32), st.integers(1, 5_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_for_any_seed_and_size(self, seed, size):
+        _corpus_cache.clear()
+        np.testing.assert_array_equal(make_corpus(seed, size), reference_corpus(seed, size))
 
     def test_deterministic(self):
         np.testing.assert_array_equal(make_corpus(8, 10_000), make_corpus(8, 10_000))
