@@ -35,7 +35,6 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 NAME_LENGTHS = (2, 10, 24)
-SEED = 1
 # the iterations' uncalibrated times, each printed beside the metric it is
 # the raw form of (`raw_setup_s` beside `setup_s`)
 RAW = ("raw_setup_s", "raw_wall_s")
@@ -49,6 +48,7 @@ def parse_args(argv=None):
     parser.add_argument("--workloads", nargs="+", default=None,
                         help="default: every workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="perfbench's workload seed")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
@@ -86,9 +86,9 @@ def make_checkouts(root: Path, parent: str, base: Path) -> dict:
 
 def run_once(checkout: Path, workload: str, args) -> dict:
     """One `perfbench/run.py --trace 0` run; its metrics, raw times and digests."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0", "--scale", args.scale]
-    results = checkout / "perfbench" / "results" / f"{workload}-seed{SEED}-trace0.json"
+    results = checkout / "perfbench" / "results" / f"{workload}-seed{args.seed}-trace0.json"
     results.unlink(missing_ok=True)  # each checkout serves every pair: no earlier pair's reading
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if not results.exists():

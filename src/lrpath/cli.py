@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -173,8 +174,9 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     dirs = [out_dir / plan.paradigm.label.replace(":", "-") for plan in plans]
     jobs = [(plan, seed, d / f"seed{seed}") for plan, d in zip(plans, dirs) for seed in seeds]
+    workers = _available_cpus() if args.jobs is None else args.jobs
     try:
-        results = [reports for reports, _ in run_all(jobs, run_cfg, args.jobs)]
+        results = [reports for reports, _ in run_all(jobs, run_cfg, workers)]
     except (LrPathError, BrokenExecutor) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -252,14 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=int, default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("cost", help="print paradigm cost table")
     p.add_argument("--versions", type=int, required=True)
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--alpha", type=float, default=0.6)
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("plan", help="compile a training plan to JSON")
     p.add_argument("--paradigm", required=True)
@@ -270,30 +270,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_schedule_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("run", help="execute experiments from a JSON config")
     p.add_argument("config")
     p.add_argument("--out", default=".", help="output directory (default: the current one)")
-    p.add_argument("--jobs", type=_parse_jobs, default=_available_cpus(), help="training processes")
-    p.set_defaults(func=cmd_run)
+    p.add_argument("--jobs", type=_parse_jobs, default=None, help="training processes")
 
     p = sub.add_parser("compare", help="merge reports into a comparison table")
     p.add_argument("reports", nargs="+")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
+# The parser of this process, built by the first `main` call and reused:
+# building it costs several times what parsing a command line does.  It
+# holds nothing that varies between calls: `--jobs` defaults to None and
+# `cmd_run` reads the CPU count when it runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # looked up per call, not bound into the cached parser, so that a
+        # wrapper put on a command after the first call still runs
+        return globals()[f"cmd_{args.command}"](args)
     except LrPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

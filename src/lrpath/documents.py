@@ -47,9 +47,10 @@ def to_json(doc, sort_keys: bool) -> str:
     non-empty list under one of them goes one element per line, so a
     plan phase, a manifest record or a report entry is one line.  Every
     line is encoded without `indent`, which lets json's C encoder do the
-    work; with `indent` the pure-Python encoder runs.
+    work; with `indent` the pure-Python encoder runs.  NaN and infinities
+    raise ValueError: they are not JSON.
     """
-    encode = json.JSONEncoder(sort_keys=sort_keys).encode
+    encode = json.JSONEncoder(sort_keys=sort_keys, allow_nan=False).encode
     if type(doc) is not dict or not doc:
         return encode(doc) + "\n"
     lines = []

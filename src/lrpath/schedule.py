@@ -51,6 +51,10 @@ class ScheduleConfig:
             raise InvalidConfig(f"eta_max must be positive, got {self.eta_max}")
         if not (self.eta_min > 0):
             raise InvalidConfig(f"eta_min must be positive, got {self.eta_min}")
+        if not math.isfinite(self.eta_max):
+            raise InvalidConfig(f"eta_max must be finite, got {self.eta_max}")
+        if not math.isfinite(self.eta_min):
+            raise InvalidConfig(f"eta_min must be finite, got {self.eta_min}")
         if self.eta_min > self.eta_max:
             raise InvalidConfig(
                 f"eta_min ({self.eta_min}) exceeds eta_max ({self.eta_max})"

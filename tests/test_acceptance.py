@@ -1,10 +1,11 @@
 """End-to-end acceptance suite.
 
 Criteria 1-5, 7, 8 are fast.  Criterion 6 trains the toy model at full desk
-scale (five paradigms plus ten two-stage probes, three seeds each) and takes
-about six minutes on one core in the float32 default; the heavy runs are shared across the
-criterion-6 tests through session-scoped fixtures.  Deselect with
-`-k "not c6"` for a quick pass.
+scale (five paradigms plus ten two-stage probes, three seeds each) in the
+float32 default, through `trainer.run_all` on the available CPUs as `lrpath
+run` trains: about 2.5 minutes on two cores.  The paradigm runs are shared
+across the criterion-6 tests through a session-scoped fixture.  Deselect
+with `-k "not c6"` for a quick pass.
 
 Each test prints one PASS line through the usual pytest -v report.
 """
@@ -23,7 +24,7 @@ from lrpath.paradigm import (
     plan_cost,
     uniform_spec,
 )
-from lrpath import trainer
+from lrpath import cli, trainer
 from lrpath.cli import main
 from lrpath.cost import paradigm_cost, relative_cost
 from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind, lr_at
@@ -33,7 +34,6 @@ from lrpath.trainer import (
     backward,
     forward_loss,
     init_model,
-    run_single,
 )
 from test_lineage import random_manifest
 
@@ -142,14 +142,29 @@ BASE = ScheduleConfig(ScheduleKind.COSINE, 3e-3, 3e-4, 200, T)
 SPEC = uniform_spec(4, T, BASE)
 
 
-def mean_ppls(plan, out_root=None):
-    per_version = {}
-    for seed in SEEDS:
-        out = None if out_root is None else out_root / f"seed{seed}"
-        reports, _ = run_single(plan, RunConfig(), seed, out_dir=out)
-        for v, rep in reports.items():
-            per_version.setdefault(v, []).append(rep.ppl)
-    return {v: float(np.mean(p)) for v, p in per_version.items()}
+def mean_ppls(plans, out_root=None):
+    """The held-out ppl of each plan by version, the mean over SEEDS.
+
+    One `run_all` call trains every (plan, seed) job on the available
+    CPUs, as `lrpath run` does; its results are `run_single`'s.  A plan's
+    runs write under `out_root / f"seed{seed}"` if `out_root` is given,
+    so it takes one plan only.
+    """
+    assert out_root is None or len(plans) == 1
+    jobs = [
+        (plan, seed, None if out_root is None else out_root / f"seed{seed}")
+        for plan in plans
+        for seed in SEEDS
+    ]
+    results = trainer.run_all(jobs, RunConfig(), cli._available_cpus())
+    means = []
+    for k in range(len(plans)):
+        per_version = {}
+        for reports, _ in results[k * len(SEEDS) : (k + 1) * len(SEEDS)]:
+            for v, rep in reports.items():
+                per_version.setdefault(v, []).append(rep.ppl)
+        means.append({v: float(np.mean(p)) for v, p in per_version.items()})
+    return means
 
 
 @pytest.fixture(scope="session")
@@ -165,9 +180,10 @@ def paradigm_ppls(tmp_path_factory):
     root = tmp_path_factory.mktemp("runs")
     for name, p in table.items():
         # c6e compares v1-scratch payloads across paradigms: each must be
-        # trained in its own paradigm, not taken from the phase store
+        # trained in its own paradigm, not taken from the phase store (the
+        # processes that run_all spawns start afresh at every call)
         trainer._phase_store.clear()
-        out[name] = mean_ppls(build_plan(p, SPEC), out_root=root / name)
+        [out[name]] = mean_ppls([build_plan(p, SPEC)], out_root=root / name)
     return out, root
 
 
@@ -198,9 +214,8 @@ CYCLES = [T, 2 * T, 3 * T, 4 * T, INFINITE]
 
 def test_c6d_first_cycle_probe():
     checkpoints, finals = [], []
-    for cycle in CYCLES:
-        plan = build_two_stage_probe(cycle, T, T, T, SPEC)
-        ppls = mean_ppls(plan)
+    plans = [build_two_stage_probe(cycle, T, T, T, SPEC) for cycle in CYCLES]
+    for ppls in mean_ppls(plans):
         checkpoints.append(ppls[1])
         finals.append(ppls[2])
     # longer first cycle -> less decay by the fork -> worse checkpoint,
@@ -212,9 +227,9 @@ def test_c6d_first_cycle_probe():
 def test_c6d_second_cycle_probe():
     never_decayed = None
     fully_decayed = []
-    for cycle in CYCLES:
-        plan = build_two_stage_probe(INFINITE, T, cycle, 2 * T, SPEC)
-        final = mean_ppls(plan)[2]
+    plans = [build_two_stage_probe(INFINITE, T, cycle, 2 * T, SPEC) for cycle in CYCLES]
+    for cycle, ppls in zip(CYCLES, mean_ppls(plans)):
+        final = ppls[2]
         if cycle == INFINITE:
             never_decayed = final
         elif cycle <= 2 * T:

@@ -149,6 +149,26 @@ class TestSchedule:
         assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--paradigm", "ptfs", "--versions", "1", "--steps", "50", "--warmup", "5",
+     "--max-lr", "inf", "--horizon", "inf", "--out", "{out}"],
+    ["schedule", "--max-lr", "inf", "--to", "2"],
+    ["schedule", "--max-lr", "inf", "--min-lr", "inf", "--to", "2", "--out", "{out}"],
+    ["run", "{config}", "--out", "{out}"],
+], ids=["plan", "schedule", "schedule_out", "run"])
+def test_infinite_rate_exits_2(tmp_path, capsys, argv):
+    # a run config of 1e999, which json reads as inf
+    config = tmp_path / "config.json"
+    config.write_text('{"paradigms": ["ptfs"], "num_versions": 1, "steps_per_version": 10, '
+                      '"schedule": {"kind": "cosine", "eta_max": 1e999, "eta_min": 1e-4}}')
+    out = tmp_path / "out"
+    assert main([a.format(config=config, out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("eta_max must be finite, got inf\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 class TestCost:
     def test_csv_values(self, capsys):
         rc = main(["cost", "--versions", "4", "--steps", "10000", "--format", "csv"])

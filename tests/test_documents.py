@@ -302,6 +302,27 @@ def test_float_beyond_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("make, load, path", [
+    (_ptfs_plan, plan_from_dict, ("spec", "base_schedule", "eta_max")),
+    (_ptfs_plan, plan_from_dict, ("phases", 1, "lr", "config", "eta_min")),
+    (_manifest, manifest_from_dict, ("spec", "base_schedule", "eta_max")),
+], ids=["plan_base", "plan_phase", "manifest"])
+def test_infinite_rate_rejected(make, load, path):
+    # json reads 1e999 as inf
+    name = path[-1]
+    with pytest.raises(InvalidConfig, match=f"^{name} must be finite, got inf$"):
+        load(_swapped(make(), path, json.loads("1e999")))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_to_json_writes_no_non_finite_number(value, sort_keys):
+    # json would write Infinity or NaN, which are not JSON
+    for doc in (value, [value], {"a": value}, {"a": [value]}, {"a": {"b": value}}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            to_json(doc, sort_keys)
+
+
 # ---------------------------------------------------------------------------
 # the encoding: one line per top-level entry and per element of a top-level list
 

@@ -39,6 +39,17 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfig):
             COSINE.replace(multistep_factors=(0.1, 0.316))
 
+    @pytest.mark.parametrize("rates, message", [
+        ({"eta_max": INFINITE}, "eta_max must be finite, got inf"),
+        ({"eta_max": INFINITE, "eta_min": INFINITE}, "eta_max must be finite, got inf"),
+        ({"eta_min": INFINITE}, "eta_min must be finite, got inf"),
+        ({"eta_max": float("nan")}, "eta_max must be positive, got nan"),
+        ({"eta_min": float("nan")}, "eta_min must be positive, got nan"),
+    ])
+    def test_rates_finite(self, rates, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            COSINE.replace(**rates)
+
 
 class TestLrAt:
     def test_warmup_end(self):
