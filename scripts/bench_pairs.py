@@ -16,8 +16,10 @@ it then prints each side's median and quartiles, the pairs the change won
 (ties count for neither side) and whether the medians differ by more than
 the parent's quartile spread.  Beside `setup_s` and `wall_s` it prints the
 medians of the iterations' raw (uncalibrated) `raw_setup_s` and
-`raw_wall_s`, and last the median of the calibrations taken after each op
-(all but an iteration's first); then whether the payload digests agree.
+`raw_wall_s`, then the median of the calibrations taken after each op
+(all but an iteration's first), then each op's median raw time
+(`raw_op_s[1]` for the first op, ...); last whether the payload digests
+agree.
 A calibration that moves while raw time does not shows the heap regime
 (see perfbench's Calibration), not the change, behind a move of `wall_s`
 or `setup_s`.
@@ -99,14 +101,18 @@ def run_once(checkout: Path, workload: str, args) -> dict:
 
 def readings(report: dict) -> dict:
     """A perfbench report's metrics and digests, with the medians of its
-    untraced iterations' raw times and of their post-op calibrations."""
+    untraced iterations' raw times, of their post-op calibrations and of
+    each op's raw time."""
     untraced = [it for it in report["iterations"] if not it["traced"]]
     calibration = [c for it in untraced for c in it["calibration_s"][1:]]
     raw = {name: [it[name] for it in untraced] for name in RAW}
+    op_s = [it["raw_op_s"] for it in untraced if it.get("raw_op_s")]
     return {
         "metrics": {name: m["value"] for name, m in report["metrics"].items()},
         **{name: statistics.median(values) if values else None for name, values in raw.items()},
         "calibration_s": statistics.median(calibration) if calibration else None,
+        **{f"raw_op_s[{k + 1}]": statistics.median(ops[k] for ops in op_s)
+           for k in range(min(map(len, op_s), default=0))},
         "correct": report["correct"],
         "failed_ops": report["failed_ops"],
         "ops": report["ops"],
@@ -131,6 +137,7 @@ def summarize(workload: str, pairs: list[dict], better: dict) -> list[str]:
     lines = [f"{workload}: {len(pairs)} pairs"]
     runs = [p[s] for p in pairs for s in SIDES]
     names = [n for metric in better for n in (metric, f"raw_{metric}")] + ["calibration_s"]
+    names += [n for n in runs[0] if n.startswith("raw_op_s[")]
     for name in [n for n in names if all(_value(r, n) is not None for r in runs)]:
         values = {s: [_value(p[s], name) for p in pairs] for s in SIDES}
         (p1, pm, p3), (c1, cm, c3) = spread(values["parent"]), spread(values["change"])

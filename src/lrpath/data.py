@@ -45,7 +45,7 @@ def corpus_size(heldout_tokens: int, tokens_per_step: int, total_steps: int) -> 
 
 @dataclass(frozen=True)
 class DataSegment:
-    segment_id: str  # matches SegmentRef.ref_id, e.g. "inc2/prefix"
+    segment_id: str  # as a plan phase lists it in `data_segments`, e.g. "inc2/prefix"
     start_offset: int  # tokens
     length: int  # tokens
 

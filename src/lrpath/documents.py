@@ -213,5 +213,6 @@ class JsonObject:
         return self._field(key, default, json_list, item, length)
 
     def object(self, key: str, loader, default=_REQUIRED):
-        """The field read by `loader(value, at, key)`, which reads an object."""
+        """The field read by `loader(value, at, key)`: an object's loader, or
+        a reader of its own for a value of another type."""
         return self._field(key, default, loader)

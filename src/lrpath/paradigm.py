@@ -9,6 +9,7 @@ further decisions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -16,7 +17,7 @@ from typing import Optional, Union
 
 from . import schedule as sched
 from .data import allocate_segments, fast_decay_steps
-from .documents import JsonObject, json_int, schema_error, to_json
+from .documents import JsonObject, json_int, json_list, schema_error, to_json
 from .errors import AlphaDegenerate, InvalidConfig, InvalidSpec, PlanViolation, UnsupportedKind
 from .schedule import DECAYING_KINDS, INFINITE, ScheduleConfig, ScheduleKind, decay_lr, lr_at
 
@@ -147,18 +148,6 @@ def uniform_spec(
 
 
 @dataclass(frozen=True)
-class SegmentRef:
-    """Which slice of which data increment a phase consumes."""
-
-    increment: int  # 1-based increment index
-    part: str  # "full" | "prefix" | "remainder"
-
-    @property
-    def ref_id(self) -> str:
-        return f"inc{self.increment}/{self.part}"
-
-
-@dataclass(frozen=True)
 class ScheduleProfile:
     """LR given by a schedule evaluated at the local step.
 
@@ -203,7 +192,9 @@ class Phase:
     init_from: Optional[str]  # phase_id of the producing phase, None = fresh init
     num_steps: int
     lr_profile: LRProfile
-    data_segments: tuple[SegmentRef, ...]
+    # the ids of the data segments it consumes, as `allocate_segments` names
+    # them: "inc<i>/full", "inc<i>/prefix" or "inc<i>/remainder"
+    data_segments: tuple[str, ...]
     emits_version_checkpoint: bool
 
     def __post_init__(self):
@@ -229,28 +220,34 @@ class TrainingPlan:
     phases: tuple[Phase, ...]
 
 
-def _constant_profile(base: ScheduleConfig, warmup: int) -> ScheduleProfile:
-    cfg = ScheduleConfig(
-        kind=ScheduleKind.CONSTANT,
-        eta_max=base.eta_max,
-        eta_min=base.eta_min,
-        warmup_steps=warmup,
-        horizon=INFINITE,
-    )
-    return ScheduleProfile(cfg)
-
-
 def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
-    """Compile (paradigm, scenario) into an explicit phase sequence."""
+    """Compile (paradigm, scenario) into an explicit phase sequence.
+
+    Each distinct LR profile is built once, and every phase that runs it
+    holds that one object.
+    """
     base = spec.base_schedule
     inc = spec.increments
     n = spec.num_versions
     phases: list[Phase] = []
 
+    @functools.cache
+    def schedule(warmup: int, horizon: int) -> ScheduleProfile:
+        return ScheduleProfile(base.replace(warmup_steps=warmup, horizon=horizon))
+
+    @functools.cache
+    def constant(eta_max: float, warmup: int) -> ScheduleProfile:
+        return ScheduleProfile(ScheduleConfig(ScheduleKind.CONSTANT, eta_max, base.eta_min, warmup, INFINITE))
+
+    @functools.cache
+    def decay(length: int) -> DecayProfile:
+        return DecayProfile(base, length)
+
     if kind.family == "ptfs":
+        full = tuple(f"inc{j}/full" for j in range(1, n + 1))
+        horizon = 0
         for i in range(1, n + 1):
-            horizon = sum(inc[:i])
-            cfg = base.replace(horizon=horizon)
+            horizon += inc[i - 1]
             phases.append(
                 Phase(
                     phase_id=f"v{i}-scratch",
@@ -258,8 +255,8 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     path=PathKind.SCRATCH,
                     init_from=None,
                     num_steps=horizon,
-                    lr_profile=ScheduleProfile(cfg),
-                    data_segments=tuple(SegmentRef(j, "full") for j in range(1, i + 1)),
+                    lr_profile=schedule(base.warmup_steps, horizon),
+                    data_segments=full[:i],
                     emits_version_checkpoint=True,
                 )
             )
@@ -267,7 +264,6 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
     elif kind.family == "cpt":
         # Version 1 is a plain scratch run with a full decay; identical to
         # the PTFS first phase by construction.
-        cfg1 = base.replace(horizon=inc[0])
         phases.append(
             Phase(
                 phase_id="v1-scratch",
@@ -275,30 +271,24 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                 path=PathKind.SCRATCH,
                 init_from=None,
                 num_steps=inc[0],
-                lr_profile=ScheduleProfile(cfg1),
-                data_segments=(SegmentRef(1, "full"),),
+                lr_profile=schedule(base.warmup_steps, inc[0]),
+                data_segments=("inc1/full",),
                 emits_version_checkpoint=True,
             )
         )
         for i in range(2, n + 1):
             t = inc[i - 1]
             if kind.variant is CptVariant.RESET_MAX:
-                cfg = base.replace(warmup_steps=0, horizon=t)
+                profile = schedule(0, t)
             elif kind.variant is CptVariant.REWARM_MAX:
                 if base.warmup_steps >= t:
                     raise InvalidSpec(
                         f"rewarm warmup ({base.warmup_steps}) must be smaller "
                         f"than increment {i} ({t})"
                     )
-                cfg = base.replace(horizon=t)
+                profile = schedule(base.warmup_steps, t)
             else:  # KEEP_MIN: constant eta_min for the whole update
-                cfg = ScheduleConfig(
-                    kind=ScheduleKind.CONSTANT,
-                    eta_max=base.eta_min,
-                    eta_min=base.eta_min,
-                    warmup_steps=0,
-                    horizon=INFINITE,
-                )
+                profile = constant(base.eta_min, 0)
             phases.append(
                 Phase(
                     phase_id=f"v{i}-cpt",
@@ -306,8 +296,8 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     path=PathKind.MAIN,
                     init_from=phases[-1].phase_id,
                     num_steps=t,
-                    lr_profile=ScheduleProfile(cfg),
-                    data_segments=(SegmentRef(i, "full"),),
+                    lr_profile=profile,
+                    data_segments=(f"inc{i}/full",),
                     emits_version_checkpoint=True,
                 )
             )
@@ -316,7 +306,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
         alpha = kind.alpha
         main_tip: Optional[str] = None
         for i in range(1, n + 1):
-            prefix, rest = SegmentRef(i, "prefix"), SegmentRef(i, "remainder")
+            prefix, rest = (f"inc{i}/prefix",), (f"inc{i}/remainder",)
             b = fast_decay_steps(inc[i - 1], alpha)
             m = inc[i - 1] - b
             if b < 1:
@@ -333,8 +323,8 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     path=PathKind.MAIN,
                     init_from=main_tip,
                     num_steps=m,
-                    lr_profile=_constant_profile(base, warm),
-                    data_segments=(prefix,),
+                    lr_profile=constant(base.eta_max, warm),
+                    data_segments=prefix,
                     emits_version_checkpoint=False,
                 )
                 phases.append(mp)
@@ -346,8 +336,8 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     path=PathKind.BRANCH,
                     init_from=fork,
                     num_steps=b,
-                    lr_profile=DecayProfile(base, b),
-                    data_segments=(rest,),
+                    lr_profile=decay(b),
+                    data_segments=rest,
                     emits_version_checkpoint=True,
                 )
             )
@@ -358,8 +348,8 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                     path=PathKind.MAIN,
                     init_from=fork,
                     num_steps=b,
-                    lr_profile=_constant_profile(base, 0),
-                    data_segments=(rest,),
+                    lr_profile=constant(base.eta_max, 0),
+                    data_segments=rest,
                     emits_version_checkpoint=False,
                 )
                 phases.append(cp)
@@ -403,16 +393,19 @@ def build_two_stage_probe(
     cfg2 = base.replace(
         kind=ScheduleKind.COSINE, warmup_steps=0, horizon=second_cycle
     )
+    profile1 = ScheduleProfile(cfg1)
     # a cycle that ends before the probe does holds eta_min afterwards
     profile2 = ScheduleProfile(cfg2, hold_min=second_len > second_cycle)
+    if profile2 == profile1:  # one object per distinct profile, as in build_plan
+        profile2 = profile1
     stage1 = Phase(
         phase_id="stage1",
         version=1,
         path=PathKind.SCRATCH,
         init_from=None,
         num_steps=fork_step,
-        lr_profile=ScheduleProfile(cfg1),
-        data_segments=(SegmentRef(1, "full"),),
+        lr_profile=profile1,
+        data_segments=("inc1/full",),
         emits_version_checkpoint=True,
     )
     stage2 = Phase(
@@ -422,7 +415,7 @@ def build_two_stage_probe(
         init_from="stage1",
         num_steps=second_len,
         lr_profile=profile2,
-        data_segments=(SegmentRef(2, "full"),),
+        data_segments=("inc2/full",),
         emits_version_checkpoint=True,
     )
     return TrainingPlan(
@@ -449,7 +442,7 @@ def _reused_segments(plan: TrainingPlan) -> list[bool]:
     for i, p in enumerate(plan.phases):
         (roots if p.init_from is None else children[index[p.init_from]]).append(i)
     reused = [False] * len(plan.phases)
-    on_path: dict[SegmentRef, int] = {}
+    on_path: dict[str, int] = {}
     repeats = 0
     stack = [(i, True) for i in reversed(roots)]
     while stack:
@@ -496,9 +489,9 @@ def validate_plan(plan: TrainingPlan) -> None:
         if phase.init_from is not None and phase.init_from not in seen:
             raise PlanViolation(pid, f"init_from {phase.init_from!r} not an earlier phase")
         seen.add(pid)
-        for r in phase.data_segments:
-            if r.ref_id not in segments:
-                raise PlanViolation(pid, f"no data segment {r.ref_id} in this plan")
+        if not segments.issuperset(phase.data_segments):
+            missing = next(r for r in phase.data_segments if r not in segments)
+            raise PlanViolation(pid, f"no data segment {missing} in this plan")
         if phase.emits_version_checkpoint:
             if phase.version in emitted:
                 raise PlanViolation(
@@ -606,6 +599,10 @@ def _profile_from_dict(d: dict, at: tuple, key) -> LRProfile:
 
 
 def plan_to_dict(plan: TrainingPlan) -> dict:
+    """The plan document.  Each profile object is converted once: phases
+    that share a profile share its dict."""
+    profiles = {id(p.lr_profile): p.lr_profile for p in plan.phases}
+    lr = {key: _profile_to_dict(profile) for key, profile in profiles.items()}
     return {
         "format_version": PLAN_FORMAT_VERSION,
         "paradigm": paradigm_to_dict(plan.paradigm),
@@ -617,8 +614,8 @@ def plan_to_dict(plan: TrainingPlan) -> dict:
                 "path": p.path.value,
                 "init_from": p.init_from,
                 "num_steps": p.num_steps,
-                "lr": _profile_to_dict(p.lr_profile),
-                "data_segments": [r.ref_id for r in p.data_segments],
+                "lr": lr[id(p.lr_profile)],
+                "data_segments": list(p.data_segments),
                 "emits_version_checkpoint": p.emits_version_checkpoint,
             }
             for p in plan.phases
@@ -638,29 +635,60 @@ _PHASE_KEYS = frozenset({
 _PLAN_KEYS = frozenset({"format_version", "paradigm", "spec", "phases"})
 
 
-def _segment_ref_from_id(ref_id, at: tuple, key) -> SegmentRef:
-    """Inverse of `SegmentRef.ref_id`; anything else is not a segment id."""
-    match = _SEGMENT_ID.fullmatch(ref_id) if type(ref_id) is str else None
-    if match is None:
+def _segment_id(ref, at: tuple, key) -> str:
+    """`ref` if it is a segment id as `allocate_segments` names one."""
+    if type(ref) is not str or _SEGMENT_ID.fullmatch(ref) is None:
         raise schema_error(
             at, key,
-            f"segment id {ref_id!r} is not inc<n>/full, inc<n>/prefix or inc<n>/remainder",
+            f"segment id {ref!r} is not inc<n>/full, inc<n>/prefix or inc<n>/remainder",
         )
-    return SegmentRef(int(match[1]), match[2])
+    return ref
 
 
-def _phase_from_dict(d: dict, at: tuple, key) -> Phase:
-    o = JsonObject(d, at, key, _PHASE_KEYS)
-    return Phase(
-        phase_id=o.str("phase_id"),
-        version=o.int("version"),
-        path=o.enum("path", PathKind),
-        init_from=o.str("init_from", nullable=True),
-        num_steps=o.int("num_steps"),
-        lr_profile=o.object("lr", _profile_from_dict),
-        data_segments=tuple(o.list("data_segments", _segment_ref_from_id)),
-        emits_version_checkpoint=o.bool("emits_version_checkpoint"),
-    )
+class _PhaseReader:
+    """Reads the phases of one plan document.
+
+    Each distinct `lr` object (told apart by its repr) is read once, so
+    the phases that carry equal ones share one profile, and each distinct
+    segment id is checked once.  Whatever is read first is read as it is,
+    so an error names the same value and path as a reader without memory.
+    """
+
+    def __init__(self):
+        self.profiles: dict[str, LRProfile] = {}
+        self.segment_ids: set[str] = set()
+
+    def __call__(self, d: dict, at: tuple, key) -> Phase:
+        o = JsonObject(d, at, key, _PHASE_KEYS)
+        return Phase(
+            phase_id=o.str("phase_id"),
+            version=o.int("version"),
+            path=o.enum("path", PathKind),
+            init_from=o.str("init_from", nullable=True),
+            num_steps=o.int("num_steps"),
+            lr_profile=o.object("lr", self.profile),
+            data_segments=o.object("data_segments", self.segments),
+            emits_version_checkpoint=o.bool("emits_version_checkpoint"),
+        )
+
+    def profile(self, value, at: tuple, key) -> LRProfile:
+        try:
+            text = repr(value)
+        except (ValueError, RecursionError):  # an int too long to print, or nesting too deep
+            return _profile_from_dict(value, at, key)
+        profile = self.profiles.get(text)
+        if profile is None:
+            profile = self.profiles[text] = _profile_from_dict(value, at, key)
+        return profile
+
+    def segments(self, value, at: tuple, key) -> tuple[str, ...]:
+        if type(value) is list and set(map(type, value)) <= {str}:
+            new = set(value).difference(self.segment_ids)
+            if all(_SEGMENT_ID.fullmatch(r) for r in new):
+                self.segment_ids |= new
+                return tuple(value)
+        # id by id, which names the first bad one
+        return tuple(json_list(value, at, key, _segment_id))
 
 
 def plan_from_dict(d: dict) -> TrainingPlan:
@@ -669,5 +697,5 @@ def plan_from_dict(d: dict) -> TrainingPlan:
     return TrainingPlan(
         paradigm=o.object("paradigm", paradigm_from_dict),
         spec=o.object("spec", spec_from_dict),
-        phases=tuple(o.list("phases", _phase_from_dict)),
+        phases=tuple(o.list("phases", _PhaseReader())),
     )

@@ -383,6 +383,13 @@ def _model_from_dict(d: dict, at: tuple, key) -> ToyModelConfig:
     return ToyModelConfig(**{k: o.str(k) if k == "dtype" else o.int(k) for k in d})
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system does not say."""
+    if not hasattr(os, "sysconf") or "SC_PHYS_PAGES" not in os.sysconf_names:
+        return None
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig, list[int]]:
     """Read an `lrpath run` config: its paradigms, the scenario they share,
     the run settings and the seeds.
@@ -390,6 +397,7 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     Paradigms and seeds are lists without repeats, since each names an
     output directory; a seed also lies in [0, 2**64), the payload header's
     range.  A `corpus_file` must hold the `corpus_size` tokens the run needs.
+    The corpus and the per-version step tuple must fit in physical memory.
     """
     o = JsonObject(d, ("run config",), None, _RUN_CONFIG_KEYS)
     texts = o.list("paradigms", json_str)
@@ -399,10 +407,11 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     num_versions = o.int("num_versions")
     if type(o.fields.get("steps_per_version")) is list:
         steps = o.list("steps_per_version", json_int)
-        total_steps = sum(steps)
+        total_steps, listed = sum(steps), len(steps)
     else:
         steps = o.int("steps_per_version")
-        total_steps = max(steps, 1) * num_versions  # a version trains at least one step
+        # a version trains at least one step
+        total_steps, listed = max(steps, 1) * num_versions, num_versions
     schedule = o.object("schedule", config_from_dict)
     run_cfg = RunConfig(
         model=o.object("model", _model_from_dict, ToyModelConfig()),
@@ -413,6 +422,13 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     )
     # checked before the per-version tuple exists: no tuple holds that many
     size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, total_steps)
+    listed_bytes = 8 * listed  # the tuple holds one 8-byte pointer a version
+    memory = _physical_memory()
+    if memory is not None and listed_bytes + size > memory:
+        raise InvalidConfig(
+            f"the run needs {listed_bytes} bytes for its per-version steps and {size} bytes of corpus, "
+            f"more than the {memory} bytes of physical memory"
+        )
     if type(steps) is int:
         spec = uniform_spec(num_versions, steps, schedule)
     else:
@@ -503,7 +519,7 @@ class _Run:
             self.users[phase.init_from] -= 1
             if not self.users[phase.init_from]:
                 del self.states[phase.init_from]
-        data = np.concatenate([self.segments[r.ref_id] for r in phase.data_segments])
+        data = np.concatenate([self.segments[r] for r in phase.data_segments])
         content = (
             origin, phase.phase_id, phase.num_steps, phase.lr_profile,
             phase.emits_version_checkpoint, self.seed, self.run_cfg.log_stride,

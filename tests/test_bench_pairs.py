@@ -123,3 +123,36 @@ def test_readings_take_medians_of_untraced_iterations():
     assert got["raw_setup_s"] == 0.30 and got["raw_wall_s"] == 1.0
     # an iteration's first calibration precedes its first op
     assert got["calibration_s"] == 0.0215
+
+
+def test_per_op_raw_medians():
+    # plan-io's first op also builds the CLI parser; its own row keeps it
+    # apart from the ops after it
+    def iteration(traced, ops):
+        return {"traced": traced, "raw_setup_s": 0.3, "raw_wall_s": sum(ops), "calibration_s": [0.5, 0.02],
+                "raw_op_s": ops}
+
+    report = {
+        "metrics": {"wall_s": {"value": 1.0}},
+        "iterations": [
+            iteration(False, [0.010, 0.002, 0.003]),
+            iteration(False, [0.012, 0.004, 0.002]),
+            iteration(False, [0.008, 0.003, 0.004]),
+            iteration(True, [9.0, 9.0, 9.0]),  # a traced iteration does not count
+        ],
+        "correct": True, "failed_ops": 0, "ops": 3, "payload_sha256": {},
+    }
+    got = bench_pairs.readings(report)
+    assert [got[f"raw_op_s[{k}]"] for k in (1, 2, 3)] == [0.010, 0.003, 0.003]
+
+    def run(first_op):
+        return {**_run(1.0), "raw_op_s[1]": first_op, "raw_op_s[2]": 0.003, "raw_op_s[3]": 0.003}
+
+    pairs = [{"name_length": 2, "parent": run(0.010), "change": run(c)} for c in (0.009, 0.008, 0.011)]
+    lines = bench_pairs.summarize("w", pairs, BETTER)
+    rows = [line.split()[0] for line in lines[1:8]]
+    assert rows == ["wall_s", "raw_wall_s", "plan_steps_per_s", "calibration_s",
+                    "raw_op_s[1]", "raw_op_s[2]", "raw_op_s[3]"]
+    assert _row(lines, "raw_op_s[1]")[:2] == (2, 3)
+    row = next(line for line in lines if line.split()[0] == "raw_op_s[1]")
+    assert "parent 0.01 " in row and "change 0.009 " in row

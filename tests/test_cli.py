@@ -1,5 +1,7 @@
 import json
+import os
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -309,6 +311,7 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     UNINDEXABLE = f"the run needs more corpus tokens than an array can index ({sys.maxsize})"
+    MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
     @pytest.mark.parametrize(
         "override, message",
@@ -316,10 +319,11 @@ class TestRun:
          ({"num_versions": 1e300, "steps_per_version": 0}, UNINDEXABLE),
          ({"steps_per_version": 1e300}, UNINDEXABLE),
          ({"steps_per_version": [1e300, 30]}, UNINDEXABLE),
-         # an indexable corpus of 1e17 + 2000 tokens, but a per-version step
-         # tuple of 8e17 bytes, more than any address space holds
+         # an indexable corpus of 1e17 + 2000 tokens and a per-version step
+         # tuple of 8e17 bytes, more than any memory holds
          ({"num_versions": 1e17, "steps_per_version": 1, "tokens_per_step": 1},
-          "num_versions 100000000000000000 is more versions than memory can hold")],
+          "the run needs 800000000000000000 bytes for its per-version steps and 100000000000002000 bytes"
+          f" of corpus, more than the {MEMORY} bytes of physical memory")],
         ids=["num_versions", "num_versions_no_steps", "steps_per_version", "steps_list",
              "num_versions_unlistable"],
     )
@@ -329,6 +333,26 @@ class TestRun:
         out = tmp_path / "o"
         assert main(["run", str(run_config(tmp_path, **override)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert not out.exists()
+
+    def test_versions_beyond_memory(self, tmp_path, capsys):
+        # 10**12 versions: 8e12 bytes of per-version steps and 1.2e15 corpus
+        # tokens, refused before either is allocated
+        out = tmp_path / "o"
+        cfg = run_config(tmp_path, num_versions=10**12)
+        cli._parser()  # the process's one parser, built before tracing: the peak is the run's
+        tracemalloc.start()
+        try:
+            rc = main(["run", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 2**20
+        assert capsys.readouterr().err == (
+            f"invalid config: the run needs {8 * 10**12} bytes for its per-version steps and"
+            f" {2000 + 40 * 30 * 10**12} bytes of corpus, more than the {self.MEMORY} bytes of physical memory\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from lrpath.paradigm import (
     PathKind,
     Phase,
     ScheduleProfile,
-    SegmentRef,
     UpdateSpec,
     build_plan,
     build_two_stage_probe,
@@ -56,9 +55,9 @@ class TestBuildPlanPtfs:
     def test_each_phase_consumes_all_prior_increments(self):
         plan = build_plan(Paradigm.ptfs(), spec4())
         assert plan.phases[2].data_segments == (
-            SegmentRef(1, "full"),
-            SegmentRef(2, "full"),
-            SegmentRef(3, "full"),
+            "inc1/full",
+            "inc2/full",
+            "inc3/full",
         )
 
     def test_cost(self):
@@ -124,8 +123,8 @@ class TestBuildPlanPathSwitch:
 
     def test_main_continuation_shares_remainder_data(self):
         phases = {p.phase_id: p for p in build_plan(Paradigm.path_switch(0.6), spec4()).phases}
-        assert phases["v2-branch"].data_segments == (SegmentRef(2, "remainder"),)
-        assert phases["v2-cont"].data_segments == (SegmentRef(2, "remainder"),)
+        assert phases["v2-branch"].data_segments == ("inc2/remainder",)
+        assert phases["v2-cont"].data_segments == ("inc2/remainder",)
         assert phases["v3-main"].init_from == "v2-cont"
 
     def test_warmup_only_in_first_main(self):
@@ -273,11 +272,11 @@ class TestValidatePlan:
     @pytest.mark.parametrize(
         "kind, ref",
         [
-            (Paradigm.ptfs(), SegmentRef(9, "full")),
-            (Paradigm.ptfs(), SegmentRef(0, "full")),
-            (Paradigm.ptfs(), SegmentRef(1, "prefix")),
-            (Paradigm.ptfs(), SegmentRef(1, "sideways")),
-            (Paradigm.path_switch(1.0), SegmentRef(1, "prefix")),
+            (Paradigm.ptfs(), "inc9/full"),
+            (Paradigm.ptfs(), "inc0/full"),
+            (Paradigm.ptfs(), "inc1/prefix"),
+            (Paradigm.ptfs(), "inc1/sideways"),
+            (Paradigm.path_switch(1.0), "inc1/prefix"),
         ],
         ids=["past_last", "zero", "ptfs_prefix", "bad_part", "empty_prefix"],
     )
@@ -288,7 +287,7 @@ class TestValidatePlan:
         plan = build_plan(kind, uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
         first = dataclasses.replace(plan.phases[0], data_segments=(ref,))
         plan = dataclasses.replace(plan, phases=(first,) + plan.phases[1:])
-        with pytest.raises(PlanViolation, match=f"^{first.phase_id}: no data segment {ref.ref_id}") as exc:
+        with pytest.raises(PlanViolation, match=f"^{first.phase_id}: no data segment {ref}") as exc:
             validate_plan(plan)
         assert exc.value.phase_id == first.phase_id
 
@@ -321,7 +320,7 @@ class TestValidatePlan:
         assert time.perf_counter() - start < 5.0
 
 
-REFS = [SegmentRef(1, "prefix"), SegmentRef(1, "remainder"), SegmentRef(2, "prefix"), SegmentRef(2, "remainder")]
+REFS = ["inc1/prefix", "inc1/remainder", "inc2/prefix", "inc2/remainder"]
 
 
 @st.composite
@@ -362,7 +361,7 @@ def _phase(**changes):
         init_from=None,
         num_steps=100,
         lr_profile=ScheduleProfile(BASE.replace(warmup_steps=10, horizon=100)),
-        data_segments=(SegmentRef(1, "full"),),
+        data_segments=("inc1/full",),
         emits_version_checkpoint=True,
     )
     fields.update(changes)
@@ -399,11 +398,11 @@ def test_plan_consumes_exactly_its_layout(label):
     plan = LAYOUT_PLANS[label]
     segments = allocate_segments(plan.spec, 1, plan.paradigm.alpha)
     steps = {s.segment_id: s.length for s in segments}
-    used = {r.ref_id for p in plan.phases for r in p.data_segments}
+    used = {r for p in plan.phases for r in p.data_segments}
     assert used - set(steps) == set(), "phases reference segments that are not laid out"
     assert set(steps) - used == set(), "laid-out segments that no phase consumes"
     for p in plan.phases:
-        assert p.num_steps == sum(steps[r.ref_id] for r in p.data_segments), p.phase_id
+        assert p.num_steps == sum(steps[r] for r in p.data_segments), p.phase_id
 
 
 class TestValidByConstruction:
@@ -419,7 +418,7 @@ class TestValidByConstruction:
             (lambda: _phase(lr_profile=DecayProfile(BASE, 99)), PlanViolation,
              "^p: decay length differs from num_steps"),
             (lambda: _phase(num_steps=102), PlanViolation, "^p: schedule horizon shorter than phase"),
-            (lambda: _phase(data_segments=(SegmentRef(1, "full"),) * 2), PlanViolation,
+            (lambda: _phase(data_segments=("inc1/full",) * 2), PlanViolation,
              "^p: duplicate data segment within phase"),
             (lambda: Paradigm("ptfs", alpha=0.5), InvalidSpec, "alpha applies only to path_switch"),
             (lambda: _plan_doc(lambda d: d["spec"].update(increments=[300])), InvalidSpec,
