@@ -141,11 +141,9 @@ _corpus_cache: dict[tuple, np.ndarray] = {}
 
 def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
     """Deterministic byte stream from a seeded order-2 Markov source, as a
-    read-only uint8 array: a token is one byte.
-
-    16 latent modes, each an affine next-byte rule with occasional uniform
-    noise; modes persist for a few hundred tokens.  With `path` set, the
+    read-only uint8 array: a token is one byte.  With `path` set, the
     file's first `size` bytes are used instead; the rest is never read.
+    InvalidConfig if the corpus does not fit in memory.
     """
     import numpy as np
 
@@ -154,14 +152,27 @@ def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
     key = (seed, size, path)
     if path is None and key in _corpus_cache:
         return _corpus_cache[key]
-    if path is not None:
-        with open(path, "rb") as fh:  # OSError on missing path
-            raw = fh.read(size)
-        if len(raw) < size:
-            raise DataExhausted(
-                f"file {path} holds {len(raw)} bytes, need {size}"
-            )
-        return np.frombuffer(raw, dtype=np.uint8)
+    try:
+        if path is not None:
+            with open(path, "rb") as fh:  # OSError on missing path
+                raw = fh.read(size)
+            if len(raw) < size:
+                raise DataExhausted(f"file {path} holds {len(raw)} bytes, need {size}")
+            return np.frombuffer(raw, dtype=np.uint8)
+        out = _markov_source(seed, size)
+    except MemoryError:
+        raise InvalidConfig(f"a corpus of {size} tokens does not fit in memory") from None
+    out.setflags(write=False)
+    if len(_corpus_cache) >= 8:
+        _corpus_cache.clear()
+    _corpus_cache[key] = out
+    return out
+
+
+def _markov_source(seed: int, size: int) -> np.ndarray:
+    """`make_corpus`'s stream: 16 latent modes, each an affine next-byte rule with
+    occasional uniform noise; modes persist for a few hundred tokens."""
+    import numpy as np
 
     n_modes = 16
     rng = np.random.default_rng(seed)
@@ -193,10 +204,6 @@ def make_corpus(seed: int, size: int, path: Optional[str] = None) -> np.ndarray:
     out[:2] = noise[:2]
     if size > 2:
         out[2:] = _affine_recurrence(a[2:], b[2:], c[2:], int(noise[1]), int(noise[0]))
-    out.setflags(write=False)
-    if len(_corpus_cache) >= 8:
-        _corpus_cache.clear()
-    _corpus_cache[key] = out
     return out
 
 

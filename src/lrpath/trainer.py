@@ -207,23 +207,18 @@ def forward_loss(model: ModelState, batch: np.ndarray) -> tuple[float, dict]:
     return loss, cache
 
 
-def backward(
-    model: ModelState, cache: dict, out_flat: Optional[np.ndarray] = None
-) -> dict[str, np.ndarray]:
+def backward(model: ModelState, cache: dict, out_flat: np.ndarray) -> dict[str, np.ndarray]:
     """Exact analytic gradients of the mean cross-entropy.
 
     `cache` must come from `forward_loss` on this model with its current
-    parameters.  With `out_flat` given, gradients are written into that
-    flat buffer and the returned dict holds views into it (the trainer's
-    hot path).
+    parameters.  The gradients are written into the flat buffer `out_flat`,
+    shaped like the model's, and the returned dict holds views into it.
     """
     cfg = model.config
     p = model.params
     x, y, h0, h1 = cache["x"], cache["y"], cache["h0"], cache["h1"]
     bsz = x.shape[0]
 
-    if out_flat is None:
-        out_flat = np.empty_like(model.flat)
     grads = _views(out_flat, cfg)
 
     dlogits = np.exp(cache["shifted"] - cache["lse"][:, None])  # softmax probs
@@ -248,18 +243,15 @@ def backward(
     return grads
 
 
-def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr, scratch=None) -> None:
+def _adam_apply(p_flat, m_flat, v_flat, t, g_flat, lr, scratch) -> None:
     """Bias-corrected Adam step `t` (1-based), in place on p, m and v.
 
-    `scratch` is a (2, n) buffer of p's dtype that holds the temporaries
-    (allocated when None).  The ops are those of
-    `p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)`, in the
-    same order, so the bits do not depend on it.  A non-finite update, from
+    `scratch` is a (2, n) buffer of p's dtype that holds the temporaries.  The
+    ops are those of `p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)`,
+    in the same order, so the bits do not depend on it.  A non-finite update, from
     a NaN or Inf gradient or from an lr that overflows the dtype, raises
     here before it reaches p.
     """
-    if scratch is None:
-        scratch = np.empty((2, p_flat.size), dtype=p_flat.dtype)
     update, denom = scratch
     m_flat *= ADAM_BETA1
     np.multiply(g_flat, 1.0 - ADAM_BETA1, out=update)
@@ -466,7 +458,8 @@ class _Run:
     The held-out set is the corpus head, reserved before segmentation and
     never trained on.  A state is dropped once the last phase that inits
     from it has started.  A phase's rank is the steps on its longest chain
-    to the end of the plan.
+    to the end of the plan.  Setting a run up writes nothing: its directory
+    appears with the first payload `_run_phase` writes.
     """
 
     def __init__(self, plan: TrainingPlan, run_cfg: RunConfig, seed: int, out_dir: Optional[Path]):
@@ -498,8 +491,6 @@ class _Run:
         self.states: dict[str, ModelState] = {}
         self.keys: dict[str, str] = {}
         self.outcomes: dict[str, tuple[int, Optional[EvalReport]]] = {}
-        if out_dir is not None:
-            (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
 
     def task(self, i: int) -> tuple:
         """The arguments of `_run_phase` for phase `i`.
@@ -602,6 +593,8 @@ def _run_phase(
             _phase_store.clear()
             _phase_store[key] = model, trace, report
     if out_dir is not None:
+        # concurrent processes may make it at once
+        (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
         save_payload(out_dir / _payload_file(phase), model.flat, seed, model.t)
         with atomic_open(out_dir / f"trace_{phase.phase_id}.csv", "w") as fh:
             fh.write("step,lr,loss\n")
@@ -689,12 +682,14 @@ def run_all(
     process.  `workers` is capped at the number of leaves, the phases that
     nothing inits from, so a config that is one chain spawns nothing.  A
     run that spawns runs one BLAS thread per process (`one_blas_thread`).
+    Every job is set up (gated, its corpus made) before any process starts
+    or any file is written, so a job that fails set-up leaves neither.
     """
-    parents = [{p.init_from for p in plan.phases} - {None} for plan, _, _ in jobs]
-    leaves = sum(len(plan.phases) - len(ids) for (plan, _, _), ids in zip(jobs, parents))
+    runs = [_Run(plan, run_cfg, seed, out_dir) for plan, seed, out_dir in jobs]
+    leaves = sum(not run.children[p.phase_id] for run in runs for p in run.plan.phases)
     spawned = min(workers, leaves) - 1
     with one_blas_thread() if spawned > 0 else nullcontext():
-        return _schedule(jobs, run_cfg, spawned)
+        return _schedule(runs, spawned)
 
 
 def _start_pool(workers: int) -> ProcessPoolExecutor:
@@ -712,16 +707,13 @@ def _start_pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _schedule(
-    jobs: Sequence[tuple[TrainingPlan, int, Optional[Path]]], run_cfg: RunConfig, spawned: int
-) -> list[tuple[dict[int, EvalReport], Manifest]]:
-    """`run_all` with `spawned` pool processes beside this one."""
+def _schedule(runs: list[_Run], spawned: int) -> list[tuple[dict[int, EvalReport], Manifest]]:
+    """`run_all` of set-up `runs`, with `spawned` pool processes beside this one."""
     pool, manager = None, None
     futures: dict[Future, tuple[int, int]] = {}
     try:
         if spawned > 0:
             pool = _start_pool(spawned)
-        runs = [_Run(plan, run_cfg, seed, out_dir) for plan, seed, out_dir in jobs]
         ready = [(-run.rank[i], j, i) for j, run in enumerate(runs) for i in run.children[None]]
         heapq.heapify(ready)
         left = sum(len(run.rank) for run in runs)  # phases not yet dispatched

@@ -115,7 +115,7 @@ def test_c5_gradient_oracle():
     cfg = model.config
     batch = rng.integers(0, cfg.vocab_size, size=(8, cfg.context_len + 1), dtype=np.int64)
     _, cache = forward_loss(model, batch)
-    grads = backward(model, cache)
+    grads = backward(model, cache, np.empty_like(model.flat))
     eps = 1e-5
     for name, g in grads.items():
         flatg = g.ravel()

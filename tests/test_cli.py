@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrpath import cli, lineage
+from lrpath import cli, lineage, trainer
 from lrpath.cli import main, parse_paradigm
 from lrpath.errors import InvalidSpec
 from lrpath.paradigm import CptVariant, Paradigm
@@ -353,6 +353,18 @@ class TestRun:
             f"invalid config: the run needs {8 * 10**12} bytes for its per-version steps and"
             f" {2000 + 40 * 30 * 10**12} bytes of corpus, more than the {self.MEMORY} bytes of physical memory\n"
         )
+        assert not out.exists()
+
+    def test_corpus_beyond_memory(self, tmp_path, capsys, monkeypatch):
+        # a corpus of 2**58 tokens passes the physical-memory check when
+        # memory reads 2**62 bytes, and then cannot be allocated: the run
+        # stops with one line, before any process or file exists
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: 2**62)
+        out = tmp_path / "o"
+        cfg = run_config(tmp_path, num_versions=1, steps_per_version=2**38, tokens_per_step=2**20)
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) == 1
+        size = 2000 + 2**58
+        assert capsys.readouterr().err == f"run failed: a corpus of {size} tokens does not fit in memory\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from lrpath import cli, trainer
-from lrpath.errors import NonFiniteEval, NonFiniteUpdate
+from lrpath.errors import NonFiniteEval, NonFiniteUpdate, PlanViolation
 from lrpath.paradigm import (
     Paradigm,
     PathKind,
@@ -85,6 +85,23 @@ def test_no_leaf_submits_nothing(label, monkeypatch):
     monkeypatch.setattr(trainer, "_start_pool", NoPool)
     [(reports, _)] = run_all([(plan, 0, None)], RUN_CFG, 4)
     assert set(reports) == {1, 2}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_setup_leaves_nothing(workers, tmp_path, monkeypatch):
+    # every job is set up before the pool starts or a file is written, so a
+    # later job that fails its gate stops the run with neither
+    started = []
+    monkeypatch.setattr(trainer, "_start_pool", lambda n: started.append(n) or Inline(n))
+    plan = build_plan(Paradigm.path_switch(0.6), uniform_spec(2, 20, SCHED))
+    phases = list(plan.phases)
+    phases[1] = dataclasses.replace(phases[1], init_from="nowhere")
+    bad = dataclasses.replace(plan, phases=tuple(phases))
+    jobs = [(plan, 0, tmp_path / "a"), (bad, 0, tmp_path / "b")]
+    with pytest.raises(PlanViolation):
+        run_all(jobs, RUN_CFG, workers)
+    assert started == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dead_states_dropped(monkeypatch):

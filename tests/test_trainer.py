@@ -145,7 +145,7 @@ class TestForwardBackward:
         rng = np.random.default_rng(11)
         batch = tiny_batch(rng, TINY, count=4)
         loss, cache = forward_loss(model, batch)
-        grads = backward(model, cache)
+        grads = backward(model, cache, np.empty_like(model.flat))
         eps = 1e-5
         check_rng = np.random.default_rng(99)
         for name, g in grads.items():
@@ -171,7 +171,7 @@ def adam_first_step(g: float, lr: float):
     """
     model = init_model(TINY, seed=0)
     p, m, v = model.flat.copy(), model.m.copy(), model.v.copy()
-    _adam_apply(p, m, v, 1, np.full_like(p, g), lr)
+    _adam_apply(p, m, v, 1, np.full_like(p, g), lr, np.empty((2, p.size), dtype=p.dtype))
     return model.flat, p, m
 
 
@@ -281,7 +281,8 @@ class TestFloat32:
         loss32, cache32 = forward_loss(m32, batch)
         loss64, cache64 = forward_loss(m64, batch)
         assert loss32 == pytest.approx(loss64, rel=1e-6)
-        g32, g64 = backward(m32, cache32), backward(m64, cache64)
+        g32 = backward(m32, cache32, np.empty_like(m32.flat))
+        g64 = backward(m64, cache64, np.empty_like(m64.flat))
         for name, g in g64.items():
             assert g32[name].dtype == np.float32
             # float32 carries ~7 digits; allow 1e-5 of the largest entry
