@@ -7,7 +7,7 @@ of plan construction, so they double as a cross-check for compiled plans.
 from __future__ import annotations
 
 from .data import fast_decay_steps
-from .errors import InvalidArgument
+from .errors import InvalidConfig
 from .paradigm import Paradigm
 
 
@@ -19,16 +19,16 @@ def paradigm_cost(kind: Paradigm, n: int, t: int) -> int:
     (`fast_decay_steps`) when it is non-integral.
     """
     if n < 1:
-        raise InvalidArgument(f"n_versions must be >= 1, got {n}")
+        raise InvalidConfig(f"n_versions must be >= 1, got {n}")
     if t < 1:
-        raise InvalidArgument(f"unit steps must be >= 1, got {t}")
+        raise InvalidConfig(f"unit steps must be >= 1, got {t}")
     if kind.family == "ptfs":
         return t * n * (n + 1) // 2
     if kind.family == "cpt":
         return t * n
     if kind.family == "path_switch":
         return t * n + (n - 1) * fast_decay_steps(t, kind.alpha)
-    raise InvalidArgument(f"no closed-form cost for family {kind.family!r}")
+    raise InvalidConfig(f"no closed-form cost for family {kind.family!r}")
 
 
 def relative_cost(kind: Paradigm, n: int, t: int) -> float:

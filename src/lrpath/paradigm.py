@@ -18,7 +18,7 @@ from typing import Optional, Union
 from . import schedule as sched
 from .data import allocate_segments, fast_decay_steps
 from .documents import JsonObject, json_int, json_list, schema_error, to_json
-from .errors import AlphaDegenerate, InvalidConfig, InvalidSpec, PlanViolation, UnsupportedKind
+from .errors import AlphaDegenerate, InvalidConfig, PlanViolation
 from .schedule import DECAYING_KINDS, INFINITE, ScheduleConfig, ScheduleKind, decay_lr, lr_at
 
 PLAN_FORMAT_VERSION = 3
@@ -46,14 +46,14 @@ class Paradigm:
 
     def __post_init__(self):
         if self.family not in ("ptfs", "cpt", "path_switch", "two_stage_probe"):
-            raise InvalidSpec(f"unknown paradigm family {self.family!r}")
+            raise InvalidConfig(f"unknown paradigm family {self.family!r}")
         if self.family == "cpt" and self.variant is None:
-            raise InvalidSpec("cpt paradigm requires a variant")
+            raise InvalidConfig("cpt paradigm requires a variant")
         if self.family == "path_switch":
             if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
-                raise InvalidSpec(f"alpha must lie in [0, 1], got {self.alpha}")
+                raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
         elif self.alpha is not None:
-            raise InvalidSpec(f"alpha applies only to path_switch, not {self.family}")
+            raise InvalidConfig(f"alpha applies only to path_switch, not {self.family}")
 
     @staticmethod
     def ptfs() -> "Paradigm":
@@ -81,22 +81,22 @@ def parse_paradigm(text: str) -> Paradigm:
     """Parse a paradigm label as `lrpath plan` and run configs write it:
     ptfs, cpt:<variant>, path_switch:<alpha>.
 
-    Raises InvalidSpec for any other label.
+    Raises InvalidConfig for any other label.
     """
     name, _, arg = text.partition(":")
     name = name.replace("-", "_")
     if name == "ptfs":
         return Paradigm.ptfs()
     if name == "path_switch" and not arg:
-        raise InvalidSpec("path_switch requires an alpha, e.g. path_switch:0.6")
+        raise InvalidConfig("path_switch requires an alpha, e.g. path_switch:0.6")
     try:
         if name == "cpt":
             return Paradigm.cpt(CptVariant(arg.replace("-", "_") or CptVariant.RESET_MAX))
         if name == "path_switch":
             return Paradigm.path_switch(float(arg))
     except ValueError as exc:
-        raise InvalidSpec(f"paradigm {text!r}: {exc}") from exc
-    raise InvalidSpec(f"unknown paradigm {text!r}")
+        raise InvalidConfig(f"paradigm {text!r}: {exc}") from exc
+    raise InvalidConfig(f"unknown paradigm {text!r}")
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,15 @@ class UpdateSpec:
 
     def __post_init__(self):
         if self.num_versions < 1:
-            raise InvalidSpec(f"num_versions must be >= 1, got {self.num_versions}")
+            raise InvalidConfig(f"num_versions must be >= 1, got {self.num_versions}")
         if len(self.increments) != self.num_versions:
-            raise InvalidSpec(
+            raise InvalidConfig(
                 f"expected {self.num_versions} increments, got {len(self.increments)}"
             )
         if any(t < 1 for t in self.increments):
-            raise InvalidSpec("all increments must be >= 1 step")
+            raise InvalidConfig("all increments must be >= 1 step")
         if self.base_schedule.warmup_steps >= self.increments[0]:
-            raise InvalidSpec(
+            raise InvalidConfig(
                 f"warmup_steps ({self.base_schedule.warmup_steps}) must be smaller "
                 f"than the first increment ({self.increments[0]})"
             )
@@ -175,13 +175,17 @@ class DecayProfile:
         if self.length < 1:
             raise InvalidConfig(f"decay length must be >= 1, got {self.length}")
         if self.config.kind not in DECAYING_KINDS:
-            raise UnsupportedKind(f"{self.config.kind} has no decay shape")
+            raise InvalidConfig(f"{self.config.kind.value} has no decay shape")
 
     def lr(self, local_step: int) -> float:
         return decay_lr(self.config, self.length, local_step)
 
 
 LRProfile = Union[ScheduleProfile, DecayProfile]
+
+# a phase id names the run's files `ckpt/<id>_final.bin` and `trace_<id>.csv`,
+# so it is a file-name stem: no path separator, no leading dot
+_PHASE_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,8 @@ class Phase:
 
     def __post_init__(self):
         pid = self.phase_id
+        if not _PHASE_ID.fullmatch(pid):
+            raise PlanViolation(repr(pid), f"phase_id must be a file-name stem matching {_PHASE_ID.pattern}")
         if self.num_steps < 1:
             raise PlanViolation(pid, "num_steps must be >= 1")
         profile = self.lr_profile
@@ -282,7 +288,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                 profile = schedule(0, t)
             elif kind.variant is CptVariant.REWARM_MAX:
                 if base.warmup_steps >= t:
-                    raise InvalidSpec(
+                    raise InvalidConfig(
                         f"rewarm warmup ({base.warmup_steps}) must be smaller "
                         f"than increment {i} ({t})"
                     )
@@ -356,7 +362,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                 main_tip = cp.phase_id
 
     else:
-        raise InvalidSpec(f"build_plan does not handle family {kind.family!r}")
+        raise InvalidConfig(f"build_plan does not handle family {kind.family!r}")
 
     return TrainingPlan(paradigm=kind, spec=spec, phases=tuple(phases))
 
@@ -382,7 +388,7 @@ def build_two_stage_probe(
     the first data increment, stage 2 the second.
     """
     if first_cycle != INFINITE and fork_step > first_cycle:
-        raise InvalidSpec(
+        raise InvalidConfig(
             f"fork_step ({fork_step}) exceeds first cycle ({first_cycle})"
         )
     base = spec.base_schedule

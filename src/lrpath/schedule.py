@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .documents import JsonObject, json_float
-from .errors import InvalidConfig, StepOutOfRange, UnsupportedKind
+from .errors import InvalidConfig
 
 INFINITE = math.inf
 
@@ -101,19 +101,19 @@ def _decay_value(cfg: ScheduleConfig, u: float) -> float:
             return cfg.eta_max
         t = (u - frac) / (1.0 - frac)
         return cfg.eta_max + (cfg.eta_min - cfg.eta_max) * t
-    raise UnsupportedKind(cfg.kind)
+    raise InvalidConfig(f"{cfg.kind.value} has no decay shape")
 
 
 def lr_at(cfg: ScheduleConfig, step: int) -> float:
     """Learning rate at a global step (0-based, warmup included)."""
     if step < 0:
-        raise StepOutOfRange(f"step must be nonnegative, got {step}")
+        raise InvalidConfig(f"step must be nonnegative, got {step}")
     w = cfg.warmup_steps
     if step < w:
         return cfg.eta_max * step / w
     horizon = cfg.horizon
     if horizon != INFINITE and step > horizon:
-        raise StepOutOfRange(f"step {step} exceeds horizon {horizon}")
+        raise InvalidConfig(f"step {step} exceeds horizon {horizon}")
 
     # Decaying kinds plateau at eta_max when the horizon is infinite.
     if cfg.kind is ScheduleKind.CONSTANT or horizon == INFINITE:
@@ -140,7 +140,7 @@ def decay_lr(cfg: ScheduleConfig, length: int, step: int) -> float:
     and the kind are checked once by paradigm.DecayProfile.
     """
     if not 0 <= step < length:
-        raise StepOutOfRange(f"step {step} outside a decay of {length} steps")
+        raise InvalidConfig(f"step {step} outside a decay of {length} steps")
     if step == length - 1:
         return cfg.eta_min
     i = step + 1

@@ -24,14 +24,7 @@ import numpy as np
 
 from .data import allocate_segments, corpus_size, derive_seed, make_corpus, sample_windows
 from .documents import JsonObject, atomic_open, json_int, json_str
-from .errors import (
-    DataExhausted,
-    EmptyEval,
-    InvalidConfig,
-    NonFiniteEval,
-    NonFiniteUpdate,
-    ShapeMismatch,
-)
+from .errors import DataExhausted, InvalidConfig, NonFiniteEval, NonFiniteUpdate, ShapeMismatch
 from .lineage import CheckpointRecord, Manifest, save_manifest, save_payload
 from .paradigm import (
     Paradigm, Phase, TrainingPlan, UpdateSpec, parse_paradigm, uniform_spec, validate_plan,
@@ -322,7 +315,7 @@ def evaluate_ppl(model: ModelState, heldout: np.ndarray) -> EvalReport:
     cfg = model.config
     width = cfg.context_len + 1
     if len(heldout) < width:
-        raise EmptyEval(f"held-out set of {len(heldout)} tokens is too small")
+        raise DataExhausted(f"held-out set of {len(heldout)} tokens is too small")
     windows = heldout[: len(heldout) // width * width].reshape(-1, width)
     rows = np.empty(len(windows), dtype=model.flat.dtype)
     for i in range(0, len(windows), EVAL_BLOCK):
@@ -448,7 +441,7 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
 
 
 def _payload_file(phase: Phase) -> str:
-    return f"ckpt/{phase.phase_id.replace('#', '_')}_final.bin"
+    return f"ckpt/{phase.phase_id}_final.bin"
 
 
 class _Run:

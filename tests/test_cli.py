@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lrpath import cli, lineage, trainer
 from lrpath.cli import main, parse_paradigm
-from lrpath.errors import InvalidSpec
+from lrpath.errors import InvalidConfig
 from lrpath.paradigm import CptVariant, Paradigm
 from lrpath.trainer import run_config_from_dict
 
@@ -28,7 +28,7 @@ class TestParseParadigm:
         assert p.family == "path_switch" and p.alpha == 0.6
 
     def test_garbage(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^unknown paradigm 'adamw'$"):
             parse_paradigm("adamw")
 
     @pytest.mark.parametrize("alpha, label", [
@@ -70,6 +70,12 @@ USAGE_ERRORS = {
     "stride_zero": (["schedule", "--stride", "0"], "error: stride must be >= 1, got 0"),
     "from_after_to": (["schedule", "--from", "5", "--to", "3"],
                       "error: start (5) must not exceed stop (3)"),
+    "negative_step": (["schedule", "--from", "-1", "--to", "3"], "error: step must be nonnegative, got -1"),
+    "past_horizon": (["schedule", "--to", "20000"], "error: step 10001 exceeds horizon 10000"),
+    "versions_zero": (["cost", "--versions", "0"], "error: n_versions must be >= 1, got 0"),
+    # the message names the kind by its value on every Python version
+    "constant_has_no_decay": (["plan", "--paradigm", "path_switch:0.6", "--steps", "100", *PLAN_ARGS,
+                               "--kind", "constant"], "error: constant has no decay shape"),
     # inverse_sqrt was a kind once; it had no decay shape and no run used it
     "inverse_sqrt_kind": (["schedule", "--kind", "inverse_sqrt"],
                           "argument --kind: invalid choice: 'inverse_sqrt'"),
@@ -179,9 +185,6 @@ class TestCost:
         assert lines[1] == "ptfs,4,10000,100000,1.00"
         assert lines[2] == "cpt:reset_max,4,10000,40000,0.40"
         assert lines[3] == "path_switch:0.6,4,10000,58000,0.58"
-
-    def test_bad_versions(self, capsys):
-        assert main(["cost", "--versions", "0"]) == 2
 
 
 class TestRendering:

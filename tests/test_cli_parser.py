@@ -130,6 +130,10 @@ USAGE_ERROR_TEXT = {
                                        "integer or inf, got 'abc'\n",
     "stride_zero": "error: stride must be >= 1, got 0\n",
     "from_after_to": "error: start (5) must not exceed stop (3)\n",
+    "negative_step": "error: step must be nonnegative, got -1\n",
+    "past_horizon": "error: step 10001 exceeds horizon 10000\n",
+    "versions_zero": "error: n_versions must be >= 1, got 0\n",
+    "constant_has_no_decay": "error: constant has no decay shape\n",
     "inverse_sqrt_kind": usage("schedule") + "lrpath schedule: error: argument --kind: invalid "
                                              "choice: 'inverse_sqrt' (choose from 'cosine', "
                                              "'knee', 'multistep', 'constant')\n",

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpath.cost import paradigm_cost, relative_cost
-from lrpath.errors import AlphaDegenerate, InvalidArgument
+from lrpath.errors import AlphaDegenerate, InvalidConfig
 from lrpath.paradigm import Paradigm, UpdateSpec, build_plan, plan_cost, uniform_spec
 from lrpath.schedule import ScheduleConfig, ScheduleKind
 
@@ -32,9 +32,9 @@ class TestWorkedValues:
             assert relative_cost(Paradigm.ptfs(), n, 5000) == 1.0
 
     def test_invalid_args(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidConfig, match="^n_versions must be >= 1, got 0$"):
             paradigm_cost(Paradigm.ptfs(), 0, 100)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidConfig, match="^unit steps must be >= 1, got 0$"):
             paradigm_cost(Paradigm.cpt(), 3, 0)
 
 

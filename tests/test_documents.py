@@ -2,7 +2,7 @@
 
 A loader either returns what the document describes or raises
 SchemaMismatch naming the path of the bad value; construction errors
-(InvalidConfig, InvalidSpec, PlanViolation) pass through as they are.  It
+(InvalidConfig, PlanViolation) pass through as they are.  It
 never raises a bare built-in exception, and neither does reading a file
 that is not UTF-8 or not JSON.
 """
@@ -26,7 +26,7 @@ from lrpath.documents import (
     json_list,
     json_str,
 )
-from lrpath.errors import InvalidConfig, InvalidSpec, PlanViolation, SchemaMismatch
+from lrpath.errors import InvalidConfig, PlanViolation, SchemaMismatch
 from lrpath.lineage import (
     CheckpointRecord,
     Manifest,
@@ -151,7 +151,7 @@ def test_type_swap_fuzz(name):
             cases += 1
             try:
                 load(_swapped(doc, path, value))
-            except (SchemaMismatch, InvalidConfig, InvalidSpec, PlanViolation):
+            except (SchemaMismatch, InvalidConfig, PlanViolation):
                 continue
             except Exception as exc:
                 bare.append(f"{path} = {value!r}: {exc!r}")

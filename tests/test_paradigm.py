@@ -11,10 +11,8 @@ from lrpath.data import allocate_segments
 from lrpath.errors import (
     AlphaDegenerate,
     InvalidConfig,
-    InvalidSpec,
     PlanViolation,
     SchemaMismatch,
-    StepOutOfRange,
 )
 from lrpath.lineage import Manifest, manifest_from_dict, manifest_to_dict
 from lrpath.paradigm import (
@@ -143,7 +141,7 @@ class TestBuildPlanPathSwitch:
         validate_plan(plan)
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
             Paradigm.path_switch(1.5)
 
 
@@ -192,7 +190,7 @@ class TestTwoStageProbe:
         assert s1.lr_profile.lr(10_000) == expected
 
     def test_fork_beyond_cycle(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match=r"^fork_step \(10000\) exceeds first cycle \(5000\)$"):
             build_two_stage_probe(5000, 10_000, 10_000, 10_000, spec4())
 
     def test_cycle_ending_early_holds_min(self):
@@ -206,7 +204,7 @@ class TestTwoStageProbe:
     def test_cycle_covering_probe_does_not_hold(self):
         s2 = build_two_stage_probe(INFINITE, 10_000, 10_000, 10_000, spec4()).phases[1]
         assert not s2.lr_profile.hold_min
-        with pytest.raises(StepOutOfRange):
+        with pytest.raises(InvalidConfig, match="^step 10001 exceeds horizon 10000$"):
             s2.lr_profile.lr(10_001)
 
 
@@ -257,7 +255,7 @@ class TestValidatePlan:
 
     def test_bad_spec(self):
         plan = build_plan(Paradigm.cpt(), spec4())
-        with pytest.raises(InvalidSpec, match="expected 4 increments, got 3"):
+        with pytest.raises(InvalidConfig, match="expected 4 increments, got 3"):
             plan.spec.replace(increments=plan.spec.increments[:-1])
 
     def test_dangling_init(self):
@@ -411,7 +409,7 @@ class TestValidByConstruction:
     @pytest.mark.parametrize(
         "build, error, match",
         [
-            (lambda: UpdateSpec(2, (100, 0), BASE.replace(warmup_steps=50)), InvalidSpec,
+            (lambda: UpdateSpec(2, (100, 0), BASE.replace(warmup_steps=50)), InvalidConfig,
              "all increments must be >= 1 step"),
             (lambda: _phase(num_steps=0, lr_profile=ScheduleProfile(BASE)), PlanViolation,
              "^p: num_steps must be >= 1"),
@@ -420,24 +418,31 @@ class TestValidByConstruction:
             (lambda: _phase(num_steps=102), PlanViolation, "^p: schedule horizon shorter than phase"),
             (lambda: _phase(data_segments=("inc1/full",) * 2), PlanViolation,
              "^p: duplicate data segment within phase"),
-            (lambda: Paradigm("ptfs", alpha=0.5), InvalidSpec, "alpha applies only to path_switch"),
-            (lambda: _plan_doc(lambda d: d["spec"].update(increments=[300])), InvalidSpec,
+            (lambda: Paradigm("ptfs", alpha=0.5), InvalidConfig, "alpha applies only to path_switch"),
+            (lambda: _plan_doc(lambda d: d["spec"].update(increments=[300])), InvalidConfig,
              "expected 2 increments, got 1"),
             (lambda: _plan_doc(lambda d: d["phases"][1].update(num_steps=151)), PlanViolation,
              "^v1-branch: decay length differs from num_steps"),
-            (lambda: _plan_doc(lambda d: d["paradigm"].update(family="ptfs")), InvalidSpec,
+            (lambda: _plan_doc(lambda d: d["paradigm"].update(family="ptfs")), InvalidConfig,
              "alpha applies only to path_switch"),
             (lambda: _plan_doc(lambda d: d["spec"]["base_schedule"].update(eta_min=1.0)), InvalidConfig,
              "exceeds eta_max"),
-            (lambda: _manifest_doc(lambda d: d["spec"].update(increments=[50, 300])), InvalidSpec,
+            (lambda: _manifest_doc(lambda d: d["spec"].update(increments=[50, 300])), InvalidConfig,
              "warmup_steps \\(50\\) must be smaller than the first increment \\(50\\)"),
             (lambda: _manifest_doc(lambda d: d["spec"]["base_schedule"].update(warmup_steps=-1)),
              InvalidConfig, "warmup_steps must be >= 0"),
+            *(
+                (lambda pid=pid: _plan_doc(lambda d: d["phases"][0].update(phase_id=pid)), PlanViolation,
+                 f"^{re.escape(repr(pid))}: phase_id must be a file-name stem matching ")
+                for pid in ("../../escape", "a/b", "x#y", ".hidden", "")
+            ),
         ],
         ids=[
             "spec", "phase_num_steps", "phase_decay_length", "phase_horizon", "phase_segments",
             "alpha_on_ptfs", "plan_spec", "plan_phase", "plan_alpha_on_ptfs", "plan_schedule",
             "manifest_spec", "manifest_schedule",
+            "plan_phase_id_escapes", "plan_phase_id_path", "plan_phase_id_hash", "plan_phase_id_hidden",
+            "plan_phase_id_empty",
         ],
     )
     def test_invalid_value_rejected(self, build, error, match):
@@ -585,9 +590,10 @@ class TestSerialization:
 
 class TestSpecValidation:
     def test_bad_increment_count(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^expected 3 increments, got 2$"):
             build_plan(Paradigm.ptfs(), UpdateSpec(3, (100, 100), BASE, 0))
 
     def test_warmup_exceeds_first_increment(self):
-        with pytest.raises(InvalidSpec):
+        message = r"^warmup_steps \(2000\) must be smaller than the first increment \(1000\)$"
+        with pytest.raises(InvalidConfig, match=message):
             build_plan(Paradigm.ptfs(), uniform_spec(2, 1000, BASE))  # W=2000 > 1000

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpath.errors import InvalidConfig, StepOutOfRange, UnsupportedKind
+from lrpath.errors import InvalidConfig
 from lrpath.paradigm import DecayProfile
 from lrpath.schedule import (
     INFINITE,
@@ -77,7 +77,7 @@ class TestLrAt:
         assert rel_err(lr_at(cfg, 9500), 0.10 * 3e-4) < 1e-12
 
     def test_beyond_horizon(self):
-        with pytest.raises(StepOutOfRange):
+        with pytest.raises(InvalidConfig, match="^step 10001 exceeds horizon 10000$"):
             lr_at(COSINE, 10_001)
 
     def test_infinite_horizon_plateaus(self):
@@ -138,9 +138,9 @@ class TestDecaySegment:
         assert profile.length == 6000
         assert profile.lr(5999) == 3e-5
         assert profile.lr(0) <= 3e-4
-        with pytest.raises(StepOutOfRange):
+        with pytest.raises(InvalidConfig, match="^step 6000 outside a decay of 6000 steps$"):
             profile.lr(6000)
-        with pytest.raises(StepOutOfRange):
+        with pytest.raises(InvalidConfig, match="^step -1 outside a decay of 6000 steps$"):
             profile.lr(-1)
 
     def test_knee_two_point(self):
@@ -157,9 +157,12 @@ class TestDecaySegment:
 
     @pytest.mark.parametrize("kind", [ScheduleKind.CONSTANT])
     def test_unsupported_kinds(self, kind):
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(InvalidConfig, match=f"^{kind.value} has no decay shape$"):
             DecayProfile(COSINE.replace(kind=kind, horizon=INFINITE), 100)
 
+        with pytest.raises(InvalidConfig, match=f"^{kind.value} has no decay shape$"):
+            decay_lr(COSINE.replace(kind=kind, horizon=INFINITE), 100, 0)
+
     def test_bad_length(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="^decay length must be >= 1, got 0$"):
             DecayProfile(COSINE, 0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpath.errors import (
-    DataExhausted, EmptyEval, InvalidConfig, NonFiniteEval, NonFiniteUpdate, ShapeMismatch,
+    DataExhausted, InvalidConfig, NonFiniteEval, NonFiniteUpdate, ShapeMismatch,
 )
 from lrpath.data import SCAN_BLOCK, _corpus_cache, derive_seed
 from lrpath.paradigm import Paradigm, build_plan, uniform_spec
@@ -376,7 +376,7 @@ class TestEvaluate:
 
     def test_empty(self):
         model = init_model(TINY, seed=4)
-        with pytest.raises(EmptyEval):
+        with pytest.raises(DataExhausted, match="^held-out set of 4 tokens is too small$"):
             evaluate_ppl(model, np.zeros(TINY.context_len, dtype=np.int64))
 
     @pytest.mark.parametrize("scale", [1e6, np.nan], ids=["overflow", "nan"])
