@@ -97,7 +97,7 @@ def schema_error(at: tuple, key, problem: str) -> SchemaMismatch:
     return SchemaMismatch(f"malformed {at[0]}: {path + ': ' if path else ''}{problem}")
 
 
-def _wrong(at: tuple, key, expected: str, value) -> SchemaMismatch:
+def wrong_value(at: tuple, key, expected: str, value) -> SchemaMismatch:
     return schema_error(at, key, f"expected {expected}, got {reprlib.repr(value)}")
 
 
@@ -107,30 +107,30 @@ def json_int(value, at: tuple, key=None, minimum: Optional[int] = None) -> int:
         value = int(value)
     if type(value) is not int or (minimum is not None and value < minimum):
         expected = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise _wrong(at, key, expected, value)
+        raise wrong_value(at, key, expected, value)
     return value
 
 
 def json_float(value, at: tuple, key=None) -> float:
     """A JSON number, not true or "1e-5"."""
     if type(value) is not float and type(value) is not int:
-        raise _wrong(at, key, "a number", value)
+        raise wrong_value(at, key, "a number", value)
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
-        raise _wrong(at, key, "a number in the float range", value) from None
+        raise wrong_value(at, key, "a number in the float range", value) from None
 
 
 def json_bool(value, at: tuple, key=None) -> bool:
     if type(value) is not bool:
-        raise _wrong(at, key, "true or false", value)
+        raise wrong_value(at, key, "true or false", value)
     return value
 
 
 def json_str(value, at: tuple, key=None, nullable: bool = False) -> Optional[str]:
     """A string, or with `nullable` also null."""
     if type(value) is not str and not (nullable and value is None):
-        raise _wrong(at, key, "a string", value)
+        raise wrong_value(at, key, "a string", value)
     return value
 
 
@@ -138,14 +138,14 @@ def json_enum(value, at: tuple, key, cls: type[Enum]):
     """The member of a str-valued Enum that the value names."""
     member = cls._value2member_map_.get(value) if type(value) is str else None
     if member is None:
-        raise _wrong(at, key, "one of " + ", ".join(repr(m.value) for m in cls), value)
+        raise wrong_value(at, key, "one of " + ", ".join(repr(m.value) for m in cls), value)
     return member
 
 
 def json_list(value, at: tuple, key, item, length: Optional[int] = None) -> list:
     """A list, with `length` elements if given, each read by `item`."""
     if type(value) is not list or (length is not None and len(value) != length):
-        raise _wrong(at, key, "a list" if length is None else f"a list of {length}", value)
+        raise wrong_value(at, key, "a list" if length is None else f"a list of {length}", value)
     at, out = at + (key,), []
     for i, v in enumerate(value):  # a loop: a comprehension costs a call in Python 3.11
         out.append(item(v, at, i))
@@ -170,7 +170,7 @@ class JsonObject:
         if type(value) is not dict:
             if key is None:
                 raise SchemaMismatch(f"a {at[0]} is a JSON object, not {type(value).__name__}")
-            raise _wrong(at, key, "an object", value)
+            raise wrong_value(at, key, "an object", value)
         self.fields, self.at = value, at if key is None else at + (key,)
         if keys is not None and not keys.issuperset(value):
             self.only(keys)

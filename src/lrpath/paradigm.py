@@ -17,11 +17,11 @@ from typing import Optional, Union
 
 from . import schedule as sched
 from .data import allocate_segments, fast_decay_steps
-from .documents import JsonObject, json_int, json_list, schema_error, to_json
+from .documents import JsonObject, json_int, json_list, schema_error, to_json, wrong_value
 from .errors import AlphaDegenerate, InvalidConfig, PlanViolation
 from .schedule import DECAYING_KINDS, INFINITE, ScheduleConfig, ScheduleKind, decay_lr, lr_at
 
-PLAN_FORMAT_VERSION = 3
+PLAN_FORMAT_VERSION = 4
 
 
 class PathKind(str, Enum):
@@ -605,27 +605,31 @@ def _profile_from_dict(d: dict, at: tuple, key) -> LRProfile:
 
 
 def plan_to_dict(plan: TrainingPlan) -> dict:
-    """The plan document.  Each profile object is converted once: phases
-    that share a profile share its dict."""
-    profiles = {id(p.lr_profile): p.lr_profile for p in plan.phases}
-    lr = {key: _profile_to_dict(profile) for key, profile in profiles.items()}
+    """The plan document.  A phase's `lr` is its profile's object where the
+    profile first appears, and later the index of that object among the
+    document's `lr` objects, counted from 0 in phase order."""
+    index: dict[int, int] = {}  # id of a profile -> the index of its object
+    phases = []
+    for p in plan.phases:
+        lr = index.get(id(p.lr_profile))
+        if lr is None:
+            index[id(p.lr_profile)] = len(index)
+            lr = _profile_to_dict(p.lr_profile)
+        phases.append({
+            "phase_id": p.phase_id,
+            "version": p.version,
+            "path": p.path.value,
+            "init_from": p.init_from,
+            "num_steps": p.num_steps,
+            "lr": lr,
+            "data_segments": list(p.data_segments),
+            "emits_version_checkpoint": p.emits_version_checkpoint,
+        })
     return {
         "format_version": PLAN_FORMAT_VERSION,
         "paradigm": paradigm_to_dict(plan.paradigm),
         "spec": spec_to_dict(plan.spec),
-        "phases": [
-            {
-                "phase_id": p.phase_id,
-                "version": p.version,
-                "path": p.path.value,
-                "init_from": p.init_from,
-                "num_steps": p.num_steps,
-                "lr": lr[id(p.lr_profile)],
-                "data_segments": list(p.data_segments),
-                "emits_version_checkpoint": p.emits_version_checkpoint,
-            }
-            for p in plan.phases
-        ],
+        "phases": phases,
     }
 
 
@@ -654,17 +658,30 @@ def _segment_id(ref, at: tuple, key) -> str:
 class _PhaseReader:
     """Reads the phases of one plan document.
 
-    Each distinct `lr` object (told apart by its repr) is read once, so
-    the phases that carry equal ones share one profile, and each distinct
-    segment id is checked once.  Whatever is read first is read as it is,
-    so an error names the same value and path as a reader without memory.
+    Each `lr` object is read once, where it appears; a later phase's int
+    `lr` is the index of one read before it, and that phase shares its
+    profile.  Each distinct segment id is checked once.
     """
 
     def __init__(self):
-        self.profiles: dict[str, LRProfile] = {}
+        self.profiles: list[LRProfile] = []
         self.segment_ids: set[str] = set()
 
     def __call__(self, d: dict, at: tuple, key) -> Phase:
+        # a phase whose fields all have their exact JSON types is built at
+        # once; any other is read field by field, which names the first bad one
+        if type(d) is dict and d.keys() == _PHASE_KEYS:
+            pid, path, init_from = d["phase_id"], d["path"], d["init_from"]
+            version, steps, emits = d["version"], d["num_steps"], d["emits_version_checkpoint"]
+            path = PathKind._value2member_map_.get(path) if type(path) is str else None
+            if (
+                type(pid) is str and type(version) is int and path is not None and type(steps) is int
+                and (init_from is None or type(init_from) is str) and type(emits) is bool
+            ):
+                at += (key,)
+                lr = self.profile(d["lr"], at, "lr")
+                segments = self.segments(d["data_segments"], at, "data_segments")
+                return Phase(pid, version, path, init_from, steps, lr, segments, emits)
         o = JsonObject(d, at, key, _PHASE_KEYS)
         return Phase(
             phase_id=o.str("phase_id"),
@@ -678,13 +695,14 @@ class _PhaseReader:
         )
 
     def profile(self, value, at: tuple, key) -> LRProfile:
-        try:
-            text = repr(value)
-        except (ValueError, RecursionError):  # an int too long to print, or nesting too deep
-            return _profile_from_dict(value, at, key)
-        profile = self.profiles.get(text)
-        if profile is None:
-            profile = self.profiles[text] = _profile_from_dict(value, at, key)
+        profiles = self.profiles
+        if type(value) is int and 0 <= value < len(profiles):
+            return profiles[value]
+        if type(value) is not dict:
+            expected = f"an lr object or the index of one of the {len(profiles)} before it"
+            raise wrong_value(at, key, expected if profiles else "an lr object", value)
+        profile = _profile_from_dict(value, at, key)
+        profiles.append(profile)
         return profile
 
     def segments(self, value, at: tuple, key) -> tuple[str, ...]:

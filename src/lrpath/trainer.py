@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .data import allocate_segments, corpus_size, derive_seed, make_corpus, sample_windows
+from .data import (
+    GENERATED_BYTES_PER_TOKEN, allocate_segments, corpus_size, derive_seed, make_corpus, sample_windows,
+)
 from .documents import JsonObject, atomic_open, json_int, json_str
 from .errors import DataExhausted, InvalidConfig, NonFiniteEval, NonFiniteUpdate, ShapeMismatch
 from .lineage import CheckpointRecord, Manifest, save_manifest, save_payload
@@ -382,7 +384,8 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     Paradigms and seeds are lists without repeats, since each names an
     output directory; a seed also lies in [0, 2**64), the payload header's
     range.  A `corpus_file` must hold the `corpus_size` tokens the run needs.
-    The corpus and the per-version step tuple must fit in physical memory.
+    The per-version step tuple and the corpus must fit in physical memory:
+    a corpus file's bytes, or the peak of generating the corpus.
     """
     o = JsonObject(d, ("run config",), None, _RUN_CONFIG_KEYS)
     texts = o.list("paradigms", json_str)
@@ -408,11 +411,12 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     # checked before the per-version tuple exists: no tuple holds that many
     size = corpus_size(run_cfg.heldout_tokens, run_cfg.tokens_per_step, total_steps)
     listed_bytes = 8 * listed  # the tuple holds one 8-byte pointer a version
+    corpus_bytes = size * (1 if run_cfg.corpus_file else GENERATED_BYTES_PER_TOKEN)
     memory = _physical_memory()
-    if memory is not None and listed_bytes + size > memory:
+    if memory is not None and listed_bytes + corpus_bytes > memory:
         raise InvalidConfig(
-            f"the run needs {listed_bytes} bytes for its per-version steps and {size} bytes of corpus, "
-            f"more than the {memory} bytes of physical memory"
+            f"the run needs {listed_bytes} bytes for its per-version steps and {corpus_bytes} bytes "
+            f"for its corpus of {size} tokens, more than the {memory} bytes of physical memory"
         )
     if type(steps) is int:
         spec = uniform_spec(num_versions, steps, schedule)

@@ -325,8 +325,8 @@ class TestRun:
          # an indexable corpus of 1e17 + 2000 tokens and a per-version step
          # tuple of 8e17 bytes, more than any memory holds
          ({"num_versions": 1e17, "steps_per_version": 1, "tokens_per_step": 1},
-          "the run needs 800000000000000000 bytes for its per-version steps and 100000000000002000 bytes"
-          f" of corpus, more than the {MEMORY} bytes of physical memory")],
+          "the run needs 800000000000000000 bytes for its per-version steps and 1600000000000032000 bytes"
+          f" for its corpus of 100000000000002000 tokens, more than the {MEMORY} bytes of physical memory")],
         ids=["num_versions", "num_versions_no_steps", "steps_per_version", "steps_list",
              "num_versions_unlistable"],
     )
@@ -352,17 +352,33 @@ class TestRun:
             tracemalloc.stop()
         assert rc == 2
         assert peak < 2**20
+        tokens = 2000 + 40 * 30 * 10**12
         assert capsys.readouterr().err == (
-            f"invalid config: the run needs {8 * 10**12} bytes for its per-version steps and"
-            f" {2000 + 40 * 30 * 10**12} bytes of corpus, more than the {self.MEMORY} bytes of physical memory\n"
+            f"invalid config: the run needs {8 * 10**12} bytes for its per-version steps and {16 * tokens} bytes"
+            f" for its corpus of {tokens} tokens, more than the {self.MEMORY} bytes of physical memory\n"
         )
         assert not out.exists()
 
+    def test_making_the_corpus_beyond_memory(self, tmp_path, capsys, monkeypatch):
+        # 4400 corpus tokens take 4400 bytes but 70,400 while they are
+        # generated: with 10,000 bytes of memory only a corpus file fits
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: 10_000)
+        out = tmp_path / "o"
+        assert main(["run", str(run_config(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid config: the run needs 16 bytes for its per-version steps and 70400 bytes"
+            " for its corpus of 4400 tokens, more than the 10000 bytes of physical memory\n"
+        )
+        assert not out.exists()
+        path = tmp_path / "corpus.bin"
+        path.write_bytes((bytes(range(256)) * 20)[:4400])
+        assert main(["run", str(run_config(tmp_path, corpus_file=str(path))), "--out", str(out)]) == 0
+
     def test_corpus_beyond_memory(self, tmp_path, capsys, monkeypatch):
         # a corpus of 2**58 tokens passes the physical-memory check when
-        # memory reads 2**62 bytes, and then cannot be allocated: the run
+        # memory reads 2**63 bytes, and then cannot be allocated: the run
         # stops with one line, before any process or file exists
-        monkeypatch.setattr(trainer, "_physical_memory", lambda: 2**62)
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: 2**63)
         out = tmp_path / "o"
         cfg = run_config(tmp_path, num_versions=1, steps_per_version=2**38, tokens_per_step=2**20)
         assert main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) == 1

@@ -476,17 +476,55 @@ class TestSerialization:
         assert plan.phases[1].lr_profile.hold_min == (second_cycle == 200)
         assert plan_from_dict(json.loads(plan_to_json(plan))) == plan
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 4])
+    @given(
+        st.sampled_from([
+            Paradigm.ptfs(),
+            Paradigm.cpt(CptVariant.KEEP_MIN),
+            Paradigm.cpt(CptVariant.RESET_MAX),
+            Paradigm.cpt(CptVariant.REWARM_MAX),
+            Paradigm.path_switch(0.5),
+            Paradigm.path_switch(1.0),
+            None,  # a two-stage probe
+        ]),
+        st.lists(st.integers(21, 300), min_size=2, max_size=5),
+        st.integers(0, 20),
+        st.sampled_from([100, 300, INFINITE]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_document_holds_one_lr_object_per_distinct_profile(self, kind, increments, warmup, cycle):
+        spec = UpdateSpec(len(increments), tuple(increments), BASE.replace(warmup_steps=warmup, horizon=cycle))
+        if kind is None:
+            plan = build_two_stage_probe(INFINITE, increments[0], cycle, increments[1], spec)
+        else:
+            plan = build_plan(kind, spec)
+        text = plan_to_json(plan)
+        back = plan_from_dict(json.loads(text))
+        assert back == plan and plan_to_json(back) == text
+        lrs = [p["lr"] for p in json.loads(text)["phases"]]
+        assert sum(type(lr) is dict for lr in lrs) == len({p.lr_profile for p in plan.phases})
+
+    @staticmethod
+    def _format_3_doc(plan) -> dict:
+        # format 3 wrote each phase's lr object whole: no back-references
+        doc = plan_to_dict(plan)
+        objects = [p["lr"] for p in doc["phases"] if type(p["lr"]) is dict]
+        for p in doc["phases"]:
+            if type(p["lr"]) is int:
+                p["lr"] = dict(objects[p["lr"]])
+        doc["format_version"] = 3
+        return doc
+
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 5])
     def test_other_format_version_rejected(self, version):
         plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
-        doc = plan_to_dict(plan)
+        doc = self._format_3_doc(plan)
         del doc["format_version"]
         if version == 2:
             # a v2 document: schedule profiles carry an "offset"
             for p in doc["phases"]:
                 if p["lr"]["type"] == "schedule":
                     p["lr"]["offset"] = 0
-        else:
+        elif version == 1 or version is None:
             # a v1 document: no format_version, branches as per-step "series"
             branch = next(p for p in doc["phases"] if p["path"] == "branch")
             branch["lr"] = {"type": "series", "points": [[s, 3e-4] for s in range(branch["num_steps"])]}
@@ -494,6 +532,15 @@ class TestSerialization:
             doc["format_version"] = version
         with pytest.raises(SchemaMismatch, match=f"format_version {version!r}"):
             plan_from_dict(doc)
+
+    def test_renumbered_format_3_document_reads(self):
+        # format 4 only adds back-references: a format-3 document whose
+        # format_version reads 4 is a format-4 document of the same plan
+        plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(3, 300, BASE.replace(warmup_steps=50)))
+        doc = self._format_3_doc(plan)
+        assert all(type(p["lr"]) is dict for p in doc["phases"])
+        doc["format_version"] = 4
+        assert plan_from_dict(doc) == plan
 
     @pytest.mark.parametrize("fault", ["no_phases", "bad_segment", "bad_path", "segment_without_part"])
     def test_malformed_document_rejected(self, fault):
@@ -567,11 +614,16 @@ class TestSerialization:
         assert len(plan_to_json(plan).encode()) < 64 * 1024
 
     def test_stable_field_order(self):
-        plan = build_plan(Paradigm.ptfs(), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+        plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
         doc = json.loads(plan_to_json(plan))
         assert list(doc) == ["format_version", "paradigm", "spec", "phases"]
-        assert doc["format_version"] == 3
-        assert list(doc["phases"][0]["lr"]) == ["type", "config", "hold_min"]
+        assert doc["format_version"] == 4
+        # v1-main, v1-branch and v1-cont hold the three lr objects; v2-main
+        # and v2-branch point back to v1-cont's and v1-branch's
+        lrs = [p["lr"] for p in doc["phases"]]
+        assert list(lrs[0]) == list(lrs[2]) == ["type", "config", "hold_min"]
+        assert list(lrs[1]) == ["type", "config", "length"]
+        assert lrs[3:] == [2, 1]
         assert list(doc["phases"][0]) == [
             "phase_id",
             "version",

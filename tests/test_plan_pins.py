@@ -29,14 +29,14 @@ PLAN_IO_SPEC = uniform_spec(12, 25_000, ScheduleConfig(ScheduleKind.COSINE, 3e-3
 PLAN_IO_ARGV = ["--versions", "12", "--steps", "25000", "--seed", "1", "--kind", "cosine", "--max-lr", "0.003",
                 "--min-lr", "0.0003", "--warmup", "2500", "--horizon", "inf"]
 PLAN_DIGESTS = {
-    "path_switch:0.6": "511376f87f270b059279a9787fe08694feb2d9bde3ffeef1a36c31b440e5d9b2",
-    "ptfs": "e5dad71ff16a8c1b9b68f49491059f1c47beaa249f6586ad868890ecc723da21",
-    "cpt:reset_max": "b1ce1190c68d252fc09880840acdd09cf53f1251b412501cdd9247a91bb0cf21",
+    "path_switch:0.6": "e034462957c239394c9a15ae796f60983380e615438bfc88b83f32ac3d0c357b",
+    "ptfs": "c090a5a6bb00a730f527eaa1a553f369e02dde490cfe2bf6b10756ecc72f5358",
+    "cpt:reset_max": "4b2364edfa2f19f5d2c81cb9b0b4572ed0fce1f07d2897ca48123a37627a124a",
 }
 PROBE = build_two_stage_probe(
     INFINITE, 40, 20, 50, uniform_spec(2, 40, ScheduleConfig(ScheduleKind.COSINE, 1e-2, 1e-3, 4, 40))
 )
-PROBE_DIGEST = "7f75ba4ee9019399b4059b3d2ead8b157c50b3b3784b89966a5f8411523f7441"
+PROBE_DIGEST = "415019ac8723441ba03dbaea3f80b3ccfcc686b3b1ca38851dbda724f4082c62"
 
 
 def _digest(text: str) -> str:
@@ -112,19 +112,48 @@ def test_segment_reused_on_trajectory():
 @pytest.mark.parametrize(
     "index, lr, message",
     [
-        # v3-branch, whose profile equals v1-branch's and v2-branch's
-        (7, {"length": 120.5}, "phases[7].lr.length: expected an integer, got 120.5"),
-        (5, {"hold_min": 0}, "phases[5].lr.hold_min: expected true or false, got 0"),
-        (5, {"type": "series"}, "phases[5].lr.type: unknown lr profile type 'series'"),
+        # v1-branch holds the object that v2-branch and v3-branch point back to
+        (1, {"length": 120.5}, "phases[1].lr.length: expected an integer, got 120.5"),
+        # v1-cont holds the one that every later main phase points back to
+        (2, {"hold_min": 0}, "phases[2].lr.hold_min: expected true or false, got 0"),
+        (1, {"type": "series"}, "phases[1].lr.type: unknown lr profile type 'series'"),
     ],
     ids=["decay_length", "hold_min", "type"],
 )
 def test_shared_profile_errors_name_their_phase(index, lr, message):
     doc = _doc("path_switch:0.6")
+    assert [p["lr"] for p in doc["phases"][3:]] == [2, 1, 2, 2, 1]
     doc["phases"][index]["lr"] = {**doc["phases"][index]["lr"], **lr}
     with pytest.raises(SchemaMismatch) as exc:
         plan_from_dict(doc)
     assert str(exc.value) == f"malformed plan document: {message}"
+
+
+BEFORE_IT = "expected an lr object or the index of one of the {} before it, got {}"
+
+
+@pytest.mark.parametrize(
+    "index, lr, message",
+    [
+        (4, 3, BEFORE_IT.format(3, 3)),
+        # v1-cont's object is index 2, defined after v1-branch
+        (1, 2, BEFORE_IT.format(1, 2)),
+        (1, 1, BEFORE_IT.format(1, 1)),
+        (0, 0, "expected an lr object, got 0"),
+        (4, -1, BEFORE_IT.format(3, -1)),
+        (4, True, BEFORE_IT.format(3, True)),
+        (4, 1.0, BEFORE_IT.format(3, 1.0)),
+        (4, "1", BEFORE_IT.format(3, "'1'")),
+    ],
+    ids=["out_of_range", "forward", "itself", "first_phase", "negative", "true", "float", "string"],
+)
+def test_back_reference_errors(index, lr, message):
+    # an int lr is the index of an lr object of an earlier phase
+    doc = _doc("path_switch:0.6")
+    doc["phases"][index]["lr"] = lr
+    with pytest.raises(SchemaMismatch) as exc:
+        plan_from_dict(doc)
+    assert str(exc.value) == f"malformed plan document: phases[{index}].lr: {message}"
 
 
 def _nested(depth: int) -> list:
@@ -173,6 +202,12 @@ SHARED_PROFILES = {
 @pytest.mark.parametrize("label", sorted(SHARED_PROFILES))
 def test_one_profile_object_per_distinct_profile(label):
     built, distinct = SHARED_PROFILES[label]
-    for plan in (built, plan_from_dict(json.loads(plan_to_json(built))), plan_from_dict(plan_to_dict(built))):
+    text = plan_to_json(built)
+    for plan in (built, plan_from_dict(json.loads(text)), plan_from_dict(plan_to_dict(built))):
         profiles = [p.lr_profile for p in plan.phases]
         assert len(set(profiles)) == len({id(p) for p in profiles}) == distinct
+        assert plan_to_json(plan) == text
+    # every other phase points back to one of the document's `distinct` lr objects
+    lrs = [p["lr"] for p in json.loads(text)["phases"]]
+    assert sum(type(lr) is dict for lr in lrs) == distinct
+    assert {lr for lr in lrs if type(lr) is int} <= set(range(distinct))
