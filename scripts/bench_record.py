@@ -3,7 +3,7 @@
     python3 scripts/bench_record.py --out BENCH_27.json
     python3 scripts/bench_record.py --out /tmp/bench.json --scale tiny
 
-It measures the `src/` beside it, in this process, with one BLAS thread
+It measures the `src/` beside it with one BLAS thread
 (`trainer.one_blas_thread`), and writes:
 
 - `environment`: Python, numpy, the BLAS library, its threads during the
@@ -14,7 +14,9 @@ It measures the `src/` beside it, in this process, with one BLAS thread
   `evaluate_ppl` (50k held-out tokens);
 - `plan_io`: per paradigm of the plan-io benchmark's shape (12 versions x
   25,000 steps), the median seconds of `build_plan`, `validate_plan`,
-  `plan_to_json` and `plan_from_dict`, and the document's bytes;
+  `plan_to_json` and `plan_from_dict`, and the document's bytes, timed in
+  a freshly spawned process of their own: in this process they read up to
+  1.8x apart depending on what it ran before them;
 - `train_phase_us_per_step`: the median over runs of a 500-step
   `train_phase`, in microseconds a step;
 - `run_single_s`: seconds of `run_single` of each c6 paradigm at seed 0;
@@ -30,11 +32,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import multiprocessing
 import os
 import platform
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -180,11 +184,13 @@ def record(scale_name: str) -> dict:
     scale = SCALES[scale_name]
     reps = scale["reps"]
     with trainer.one_blas_thread():
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            plan_rows = pool.submit(plan_io, scale, reps).result()
         return {
             "scale": scale_name,
             "environment": environment(),
             "layers_s": layers(scale, reps),
-            "plan_io": plan_io(scale, reps),
+            "plan_io": plan_rows,
             "train_phase_us_per_step": train_phase_us(scale, reps),
             "run_single_s": run_single_s(scale),
             "c6_steps": 3 * sum(plan_cost(plan) for plan in c6_plans(scale["T"]).values()),

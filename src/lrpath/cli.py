@@ -241,15 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_schedule_flags(p):
+    def add_schedule_flags(p, horizon: str):
         p.add_argument("--kind", default="cosine", choices=[k.value for k in ScheduleKind])
         p.add_argument("--max-lr", type=float, default=3e-4)
         p.add_argument("--min-lr", type=float, default=3e-5)
         p.add_argument("--warmup", type=int, default=2000)
-        p.add_argument("--horizon", type=_parse_horizon, default="10000")
+        p.add_argument("--horizon", type=_parse_horizon, default=horizon)
 
     p = sub.add_parser("schedule", help="dump an LR curve as CSV")
-    add_schedule_flags(p)
+    add_schedule_flags(p, horizon="10000")
     p.add_argument("--from", dest="frm", type=int, default=0)
     p.add_argument("--to", type=int, default=None)
     p.add_argument("--stride", type=int, default=1)
@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=_parse_steps, required=True, help="steps per version, or comma list"
     )
     p.add_argument("--seed", type=int, default=0)
-    add_schedule_flags(p)
+    # every phase sets its own horizon, so a plan reads none from the flag
+    add_schedule_flags(p, horizon="inf")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("run", help="execute experiments from a JSON config")

@@ -21,7 +21,7 @@ from .documents import JsonObject, json_int, json_list, schema_error, to_json, w
 from .errors import AlphaDegenerate, InvalidConfig, PlanViolation
 from .schedule import DECAYING_KINDS, INFINITE, ScheduleConfig, ScheduleKind, decay_lr, lr_at
 
-PLAN_FORMAT_VERSION = 4
+PLAN_FORMAT_VERSION = 5
 
 
 class PathKind(str, Enum):
@@ -78,15 +78,18 @@ class Paradigm:
 
 
 def parse_paradigm(text: str) -> Paradigm:
-    """Parse a paradigm label as `lrpath plan` and run configs write it:
-    ptfs, cpt:<variant>, path_switch:<alpha>.
+    """Parse a paradigm label, the inverse of `Paradigm.label`: ptfs,
+    cpt:<variant>, path_switch:<alpha> or two_stage_probe.  Bare `cpt` is
+    cpt:reset_max, and hyphens read as underscores.
 
     Raises InvalidConfig for any other label.
     """
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     name = name.replace("-", "_")
-    if name == "ptfs":
-        return Paradigm.ptfs()
+    if name in ("ptfs", "two_stage_probe"):
+        if colon:
+            raise InvalidConfig(f"paradigm {text!r}: {name} takes no argument")
+        return Paradigm(name)
     if name == "path_switch" and not arg:
         raise InvalidConfig("path_switch requires an alpha, e.g. path_switch:0.6")
     try:
@@ -535,22 +538,7 @@ def validate_plan(plan: TrainingPlan) -> None:
 # ---------------------------------------------------------------------------
 # serialization
 
-def paradigm_to_dict(p: Paradigm) -> dict:
-    d = {"family": p.family}
-    if p.variant is not None:
-        d["variant"] = p.variant.value
-    if p.alpha is not None:
-        d["alpha"] = p.alpha
-    return d
-
-
-_PARADIGM_KEYS = frozenset({"family", "variant", "alpha"})
 _SPEC_KEYS = frozenset({"num_versions", "increments", "base_schedule", "seed"})
-
-
-def paradigm_from_dict(d: dict, at: tuple = ("paradigm",), key=None) -> Paradigm:
-    o = JsonObject(d, at, key, _PARADIGM_KEYS)
-    return Paradigm(o.str("family"), o.enum("variant", CptVariant, None), o.float("alpha", None))
 
 
 def spec_to_dict(spec: UpdateSpec) -> dict:
@@ -627,7 +615,7 @@ def plan_to_dict(plan: TrainingPlan) -> dict:
         })
     return {
         "format_version": PLAN_FORMAT_VERSION,
-        "paradigm": paradigm_to_dict(plan.paradigm),
+        "paradigm": plan.paradigm.label,
         "spec": spec_to_dict(plan.spec),
         "phases": phases,
     }
@@ -719,7 +707,7 @@ def plan_from_dict(d: dict) -> TrainingPlan:
     o = JsonObject(d, ("plan document",), None, _PLAN_KEYS)
     o.version(PLAN_FORMAT_VERSION, "plan")
     return TrainingPlan(
-        paradigm=o.object("paradigm", paradigm_from_dict),
+        paradigm=parse_paradigm(o.str("paradigm")),
         spec=o.object("spec", spec_from_dict),
         phases=tuple(o.list("phases", _PhaseReader())),
     )

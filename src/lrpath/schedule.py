@@ -63,7 +63,7 @@ class ScheduleConfig:
             raise InvalidConfig(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.horizon != INFINITE:
             if self.horizon <= 0 or int(self.horizon) != self.horizon:
-                raise InvalidConfig(f"horizon must be a positive integer or INFINITE")
+                raise InvalidConfig(f"horizon must be a positive integer or INFINITE, got {self.horizon}")
             if self.warmup_steps >= self.horizon:
                 raise InvalidConfig(
                     f"warmup_steps ({self.warmup_steps}) must be smaller than "

@@ -31,6 +31,31 @@ class TestParseParadigm:
         with pytest.raises(InvalidConfig, match="^unknown paradigm 'adamw'$"):
             parse_paradigm("adamw")
 
+    def test_conveniences(self):
+        # bare cpt is cpt:reset_max, and hyphens read as underscores
+        assert parse_paradigm("cpt") == parse_paradigm("cpt:") == Paradigm.cpt(CptVariant.RESET_MAX)
+        assert parse_paradigm("path-switch:0.6") == Paradigm.path_switch(0.6)
+        assert parse_paradigm("two-stage-probe") == Paradigm("two_stage_probe")
+
+    @pytest.mark.parametrize("text", ["ptfs:", "ptfs:0.5", "ptfs:garbage", "two_stage_probe:1", "two-stage-probe:"])
+    def test_argument_rejected_where_none_is_taken(self, text):
+        name = text.partition(":")[0].replace("-", "_")
+        with pytest.raises(InvalidConfig) as exc:
+            parse_paradigm(text)
+        assert str(exc.value) == f"paradigm {text!r}: {name} takes no argument"
+
+    @given(st.one_of(
+        st.sampled_from([
+            Paradigm.ptfs(), *(Paradigm.cpt(v) for v in CptVariant), Paradigm("two_stage_probe"),
+            Paradigm.path_switch(1 / 3),
+        ]),
+        st.floats(0.0, 1.0).map(Paradigm.path_switch),
+    ))
+    def test_every_label_reads_back(self, paradigm):
+        # parse_paradigm is the inverse of Paradigm.label, which a plan
+        # document writes as its paradigm
+        assert parse_paradigm(paradigm.label) == paradigm
+
     @pytest.mark.parametrize("alpha, label", [
         (0, "path_switch:0"), (0.45, "path_switch:0.45"), (0.6, "path_switch:0.6"),
         (1, "path_switch:1"), (0.123456789, "path_switch:0.123456789"),
@@ -76,6 +101,12 @@ USAGE_ERRORS = {
     # the message names the kind by its value on every Python version
     "constant_has_no_decay": (["plan", "--paradigm", "path_switch:0.6", "--steps", "100", *PLAN_ARGS,
                                "--kind", "constant"], "error: constant has no decay shape"),
+    "ptfs_with_argument": (["plan", "--paradigm", "ptfs:0.5", "--steps", "100", *PLAN_ARGS],
+                           "ptfs takes no argument"),
+    "rewarm_longer_than_increment": (["plan", "--paradigm", "cpt:rewarm_max", "--versions", "2",
+                                      "--steps", "100,10", "--warmup", "50"],
+                                     "rewarm warmup (50) must be smaller than increment 2 (10)"),
+    "horizon_zero": (["schedule", "--horizon", "0", "--to", "5"], "horizon must be a positive integer"),
     # inverse_sqrt was a kind once; it had no decay shape and no run used it
     "inverse_sqrt_kind": (["schedule", "--kind", "inverse_sqrt"],
                           "argument --kind: invalid choice: 'inverse_sqrt'"),
@@ -217,7 +248,7 @@ class TestPlan:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["phases"]) == 11
-        assert doc["paradigm"]["alpha"] == 0.6
+        assert doc["paradigm"] == "path_switch:0.6"
         assert sum(ph["num_steps"] for ph in doc["phases"]) == 58_000
 
     def test_comma_steps(self, capsys):
@@ -235,6 +266,14 @@ class TestPlan:
              "--steps", "100", "--warmup", "10"]
         )
         assert rc == 2
+
+    def test_horizon_defaults_to_inf(self, capsys):
+        # every phase sets its own horizon, so a warmup longer than the
+        # schedule command's default horizon compiles
+        argv = ["plan", "--paradigm", "ptfs", "--versions", "2", "--steps", "200000", "--warmup", "20000"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["spec"]["base_schedule"]["horizon"] == "inf"
 
     def test_unlistable_versions_usage_error(self, capsys, tmp_path):
         # 10**17 versions: the per-version tuple would take 8e17 bytes, so its
@@ -431,6 +470,18 @@ class TestRun:
         assert f"invalid config: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "paradigms, message",
+        [(["ptfs:0.5"], "paradigm 'ptfs:0.5': ptfs takes no argument"),
+         ([], "at least one paradigm is required")],
+        ids=["ptfs_argument", "no_paradigms"],
+    )
+    def test_paradigm_list_rejected(self, tmp_path, capsys, paradigms, message):
+        out = tmp_path / "o"
+        assert main(["run", str(run_config(tmp_path, paradigms=paradigms)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert not out.exists()
+
     def test_inverse_sqrt_kind_rejected(self, tmp_path, capsys):
         schedule = {"kind": "inverse_sqrt", "eta_max": 1e-3, "eta_min": 1e-4, "warmup_steps": 5}
         out = tmp_path / "o"
@@ -539,6 +590,15 @@ class TestCompare:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("paradigm,")
         assert len(lines) == 3
+
+    def test_version_key_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        version = {"ppl": [30.0], "nll": [3.4], "mean_ppl": 30.0}
+        path.write_text(json.dumps({"paradigm": "ptfs", "seeds": [0], "total_steps": 60, "versions": {"v1": version}}))
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot read report: malformed report {path}: versions.v1: expected a version number as key\n"
+        )
 
 
 class HalfWrite:

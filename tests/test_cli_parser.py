@@ -134,6 +134,9 @@ USAGE_ERROR_TEXT = {
     "past_horizon": "error: step 10001 exceeds horizon 10000\n",
     "versions_zero": "error: n_versions must be >= 1, got 0\n",
     "constant_has_no_decay": "error: constant has no decay shape\n",
+    "ptfs_with_argument": "error: paradigm 'ptfs:0.5': ptfs takes no argument\n",
+    "rewarm_longer_than_increment": "error: rewarm warmup (50) must be smaller than increment 2 (10)\n",
+    "horizon_zero": "error: horizon must be a positive integer or INFINITE, got 0\n",
     "inverse_sqrt_kind": usage("schedule") + "lrpath schedule: error: argument --kind: invalid "
                                              "choice: 'inverse_sqrt' (choose from 'cosine', "
                                              "'knee', 'multistep', 'constant')\n",

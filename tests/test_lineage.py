@@ -242,6 +242,14 @@ class TestPayload:
         with pytest.raises(SchemaMismatch):
             load_payload(path)
 
+    def test_shorter_than_its_header(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_payload(path, np.zeros(10), seed=0, step=0)
+        path.write_bytes(path.read_bytes()[:7])
+        with pytest.raises(SchemaMismatch) as exc:
+            load_payload(path)
+        assert str(exc.value) == "payload file truncated before header"
+
     def test_write_raising_midway_leaves_nothing(self, tmp_path):
         # a file is replaced whole or not at all, and no temp file stays
         target = tmp_path / "manifest.json"

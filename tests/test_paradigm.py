@@ -423,8 +423,8 @@ class TestValidByConstruction:
              "expected 2 increments, got 1"),
             (lambda: _plan_doc(lambda d: d["phases"][1].update(num_steps=151)), PlanViolation,
              "^v1-branch: decay length differs from num_steps"),
-            (lambda: _plan_doc(lambda d: d["paradigm"].update(family="ptfs")), InvalidConfig,
-             "alpha applies only to path_switch"),
+            (lambda: _plan_doc(lambda d: d.update(paradigm="ptfs:0.5")), InvalidConfig,
+             "^paradigm 'ptfs:0.5': ptfs takes no argument$"),
             (lambda: _plan_doc(lambda d: d["spec"]["base_schedule"].update(eta_min=1.0)), InvalidConfig,
              "exceeds eta_max"),
             (lambda: _manifest_doc(lambda d: d["spec"].update(increments=[50, 300])), InvalidConfig,
@@ -504,9 +504,19 @@ class TestSerialization:
         assert sum(type(lr) is dict for lr in lrs) == len({p.lr_profile for p in plan.phases})
 
     @staticmethod
-    def _format_3_doc(plan) -> dict:
-        # format 3 wrote each phase's lr object whole: no back-references
+    def _format_4_doc(plan) -> dict:
+        # format 4 wrote the paradigm as an object of its fields
         doc = plan_to_dict(plan)
+        p = plan.paradigm
+        doc["paradigm"] = {"family": p.family, **({"variant": p.variant.value} if p.variant else {}),
+                           **({"alpha": p.alpha} if p.alpha is not None else {})}
+        doc["format_version"] = 4
+        return doc
+
+    @classmethod
+    def _format_3_doc(cls, plan) -> dict:
+        # format 3 also wrote each phase's lr object whole: no back-references
+        doc = cls._format_4_doc(plan)
         objects = [p["lr"] for p in doc["phases"] if type(p["lr"]) is dict]
         for p in doc["phases"]:
             if type(p["lr"]) is int:
@@ -514,10 +524,10 @@ class TestSerialization:
         doc["format_version"] = 3
         return doc
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 3, 5])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 6])
     def test_other_format_version_rejected(self, version):
         plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
-        doc = self._format_3_doc(plan)
+        doc = self._format_4_doc(plan) if version in (4, 6) else self._format_3_doc(plan)
         del doc["format_version"]
         if version == 2:
             # a v2 document: schedule profiles carry an "offset"
@@ -533,14 +543,37 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch, match=f"format_version {version!r}"):
             plan_from_dict(doc)
 
-    def test_renumbered_format_3_document_reads(self):
-        # format 4 only adds back-references: a format-3 document whose
-        # format_version reads 4 is a format-4 document of the same plan
-        plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(3, 300, BASE.replace(warmup_steps=50)))
-        doc = self._format_3_doc(plan)
-        assert all(type(p["lr"]) is dict for p in doc["phases"])
-        doc["format_version"] = 4
+    @pytest.mark.parametrize("kind", [
+        Paradigm.ptfs(), Paradigm.cpt(CptVariant.KEEP_MIN), Paradigm.path_switch(0.5),
+        Paradigm.path_switch(1 / 3), None,
+    ], ids=["ptfs", "cpt", "path_switch", "path_switch_third", "probe"])
+    def test_converted_format_4_document_reads(self, kind):
+        # format 5 names the paradigm by its label: a format-4 document whose
+        # paradigm object is replaced by its label and whose format_version
+        # is set to 5 is a format-5 document of the same plan
+        spec = uniform_spec(3, 300, BASE.replace(warmup_steps=50))
+        plan = build_two_stage_probe(INFINITE, 300, 200, 300, spec) if kind is None else build_plan(kind, spec)
+        doc = self._format_4_doc(plan)
+        p = doc["paradigm"]
+        if "variant" in p:
+            doc["paradigm"] = f"cpt:{p['variant']}"
+        elif "alpha" in p:
+            doc["paradigm"] = f"path_switch:{p['alpha']!r}"
+        else:
+            doc["paradigm"] = p["family"]
+        doc["format_version"] = 5
         assert plan_from_dict(doc) == plan
+
+    def test_paradigm_object_rejected(self):
+        # a format-5 document whose paradigm is still format 4's object
+        plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+        doc = self._format_4_doc(plan)
+        doc["format_version"] = 5
+        with pytest.raises(SchemaMismatch) as exc:
+            plan_from_dict(doc)
+        assert str(exc.value) == (
+            "malformed plan document: paradigm: expected a string, got {'alpha': 0.5, 'family': 'path_switch'}"
+        )
 
     @pytest.mark.parametrize("fault", ["no_phases", "bad_segment", "bad_path", "segment_without_part"])
     def test_malformed_document_rejected(self, fault):
@@ -617,7 +650,8 @@ class TestSerialization:
         plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
         doc = json.loads(plan_to_json(plan))
         assert list(doc) == ["format_version", "paradigm", "spec", "phases"]
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == 5
+        assert doc["paradigm"] == "path_switch:0.5"
         # v1-main, v1-branch and v1-cont hold the three lr objects; v2-main
         # and v2-branch point back to v1-cont's and v1-branch's
         lrs = [p["lr"] for p in doc["phases"]]

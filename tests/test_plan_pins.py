@@ -8,6 +8,7 @@ horizon inf, seed 1) and over one two-stage probe plan.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,14 +30,14 @@ PLAN_IO_SPEC = uniform_spec(12, 25_000, ScheduleConfig(ScheduleKind.COSINE, 3e-3
 PLAN_IO_ARGV = ["--versions", "12", "--steps", "25000", "--seed", "1", "--kind", "cosine", "--max-lr", "0.003",
                 "--min-lr", "0.0003", "--warmup", "2500", "--horizon", "inf"]
 PLAN_DIGESTS = {
-    "path_switch:0.6": "e034462957c239394c9a15ae796f60983380e615438bfc88b83f32ac3d0c357b",
-    "ptfs": "c090a5a6bb00a730f527eaa1a553f369e02dde490cfe2bf6b10756ecc72f5358",
-    "cpt:reset_max": "4b2364edfa2f19f5d2c81cb9b0b4572ed0fce1f07d2897ca48123a37627a124a",
+    "path_switch:0.6": "144727b8443aa0095b52fe8cd3290aff0ab072769caed9d34286970eceac9f9e",
+    "ptfs": "1cc1acf701e27622892311e3171ba6ef2b54ea4374485afc2fb3f1535bc92651",
+    "cpt:reset_max": "0888c448f362719008ad09fc99062cebf91647bf0a62b71bdfcca532f5467ee2",
 }
 PROBE = build_two_stage_probe(
     INFINITE, 40, 20, 50, uniform_spec(2, 40, ScheduleConfig(ScheduleKind.COSINE, 1e-2, 1e-3, 4, 40))
 )
-PROBE_DIGEST = "415019ac8723441ba03dbaea3f80b3ccfcc686b3b1ca38851dbda724f4082c62"
+PROBE_DIGEST = "a4fe388acd8bf6bba2bbca878b168bc992c6a8b241e8fcbc5489c1ee3cc61c85"
 
 
 def _digest(text: str) -> str:
@@ -129,6 +130,34 @@ def test_shared_profile_errors_name_their_phase(index, lr, message):
     assert str(exc.value) == f"malformed plan document: {message}"
 
 
+def _edit_config(phase: dict, **fields) -> None:
+    phase["lr"]["config"] = {**phase["lr"]["config"], **fields}
+
+
+@pytest.mark.parametrize(
+    "label, edit, message",
+    [
+        ("path_switch:0.6", lambda phases: phases[1].update(phase_id="v1-main"), "v1-main: duplicate phase_id"),
+        ("ptfs", lambda phases: phases[1].update(emits_version_checkpoint=False),
+         "version 2: no phase emits this version"),
+        # v1-branch writes the decay object that v2-branch and v3-branch share
+        ("path_switch:0.6", lambda phases: _edit_config(phases[1], eta_max=6e-4),
+         "v1-branch: branch starts above eta_max"),
+        # v1-cont writes the constant object that every later main phase shares
+        ("path_switch:0.6", lambda phases: _edit_config(phases[2], eta_max=6e-4),
+         "v1-cont: main path departs from eta_max"),
+    ],
+    ids=["duplicate_phase_id", "version_not_emitted", "branch_above_eta_max", "main_off_eta_max"],
+)
+def test_cross_phase_rule_errors(label, edit, message):
+    # documents that read back, and that `validate_plan` rejects
+    doc = _doc(label)
+    edit(doc["phases"])
+    with pytest.raises(PlanViolation) as exc:
+        validate_plan(plan_from_dict(doc))
+    assert str(exc.value) == message
+
+
 BEFORE_IT = "expected an lr object or the index of one of the {} before it, got {}"
 
 
@@ -211,3 +240,13 @@ def test_one_profile_object_per_distinct_profile(label):
     lrs = [p["lr"] for p in json.loads(text)["phases"]]
     assert sum(type(lr) is dict for lr in lrs) == distinct
     assert {lr for lr in lrs if type(lr) is int} <= set(range(distinct))
+
+
+def test_readme_example_is_cli_output(capsys):
+    # the Documents section of the README shows this command's document
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split('```json\n{\n  "format_version"', 1)[1].split("```", 1)[0]
+    argv = ["plan", "--paradigm", "path_switch:0.6", "--versions", "2", "--steps", "1000", "--warmup", "100",
+            "--max-lr", "3e-3", "--min-lr", "3e-4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == '{\n  "format_version"' + example
