@@ -14,9 +14,11 @@ It measures the `src/` beside it with one BLAS thread
   `evaluate_ppl` (50k held-out tokens);
 - `plan_io`: per paradigm of the plan-io benchmark's shape (12 versions x
   25,000 steps), the median seconds of `build_plan`, `validate_plan`,
-  `plan_to_json` and `plan_from_dict`, and the document's bytes, timed in
-  a freshly spawned process of their own: in this process they read up to
-  1.8x apart depending on what it ran before them;
+  `plan_to_json` and `plan_from_dict`, and the document's bytes.  Each
+  row is timed in PLAN_IO_PROCESSES freshly spawned processes, one after
+  another, and holds its median across them: in this process the rows
+  read up to 1.8x apart depending on what it ran before them, and one
+  fresh process in several runs them in a slower regime of its own;
 - `train_phase_us_per_step`: the median over runs of a 500-step
   `train_phase`, in microseconds a step;
 - `run_single_s`: seconds of `run_single` of each c6 paradigm at seed 0;
@@ -51,6 +53,7 @@ from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
 
 C6_PARADIGMS = ("ptfs", "cpt:reset_max", "cpt:rewarm_max", "cpt:keep_min", "path_switch:0.6")
 PLAN_IO_PARADIGMS = ("path_switch:0.6", "ptfs", "cpt:reset_max")
+PLAN_IO_PROCESSES = 5
 SCALES = {
     # c6: 4 versions x 2000 steps; the corpus, held-out set and plan-io
     # shape are the ones the acceptance tier and the benchmark use
@@ -184,8 +187,14 @@ def record(scale_name: str) -> dict:
     scale = SCALES[scale_name]
     reps = scale["reps"]
     with trainer.one_blas_thread():
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            plan_rows = pool.submit(plan_io, scale, reps).result()
+        runs = []
+        for _ in range(PLAN_IO_PROCESSES):
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                runs.append(pool.submit(plan_io, scale, reps).result())
+        plan_rows = {
+            label: {key: statistics.median(run[label][key] for run in runs) for key in row}
+            for label, row in runs[0].items()
+        }
         return {
             "scale": scale_name,
             "environment": environment(),

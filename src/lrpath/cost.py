@@ -28,7 +28,9 @@ def paradigm_cost(kind: Paradigm, n: int, t: int) -> int:
         return t * n
     if kind.family == "path_switch":
         return t * n + (n - 1) * fast_decay_steps(t, kind.alpha)
-    raise InvalidConfig(f"no closed-form cost for family {kind.family!r}")
+    raise InvalidConfig(
+        "two_stage_probe has no closed-form cost: a probe's plan is built only by build_two_stage_probe"
+    )
 
 
 def relative_cost(kind: Paradigm, n: int, t: int) -> float:

@@ -85,9 +85,9 @@ def read_json(path, name: str):
 # readers
 #
 # A reader gets a value and where it sits: `at`, the document's name and
-# then the keys and list indices that lead to the value's parent, and the
-# value's own `key` (None for the document itself).  It returns the value
-# or raises SchemaMismatch naming the path, e.g.
+# then the keys and list indices that lead to the object or list holding
+# it, and the value's own `key` (None for the document itself).  It
+# returns the value or raises SchemaMismatch naming the path, e.g.
 # "phases[3].lr.config.eta_max"; the path is joined and formatted only
 # then, so reading a valid document formats nothing.
 

@@ -1,9 +1,14 @@
 """Checkpoint lineage: the manifest and the checkpoint payloads.
 
-The manifest records who initialized whom, on which data slice, with
-which metrics.  It serializes to a canonical JSON document (sorted keys)
-so identical manifests are byte-identical on disk.  Checkpoint payloads
-are flat little-endian float64 arrays with a small binary header.
+A run's lineage is the plan it ran: one phase per checkpoint, each
+`init_from` the phase it forks from.  The manifest holds that plan (its
+spec's seed is the run seed), the data segments the run laid out, and
+one record per phase, in plan order, of what the run measured: the
+checkpoint's global step and, for a phase that releases a version, its
+held-out metrics.  A phase's payload is `ckpt/<phase_id>_final.bin`.
+The manifest serializes to a canonical JSON document (sorted keys) so
+identical manifests are byte-identical on disk.  Checkpoint payloads are
+flat little-endian float64 arrays with a small binary header.
 """
 
 from __future__ import annotations
@@ -16,30 +21,27 @@ from typing import Optional
 import numpy as np
 
 from .data import DataSegment
-from .documents import JsonObject, atomic_open, read_json, write_json
+from .documents import JsonObject, atomic_open, read_json, schema_error, wrong_value, write_json
 from .errors import SchemaMismatch
-from .paradigm import PathKind, UpdateSpec, spec_from_dict, spec_to_dict
+from .paradigm import TrainingPlan, plan_from_dict, plan_to_dict, validate_plan
 
-MANIFEST_FORMAT_VERSION = 2
+MANIFEST_FORMAT_VERSION = 3
 PAYLOAD_MAGIC = b"LRPC"
 _HEADER = struct.Struct("<4sIQQQ")  # magic, format version, param count, seed, step
 
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    ckpt_id: str
+    """What a run measured of one phase's checkpoint."""
+
     phase_id: str
-    version: int
-    path: str  # "main" | "branch" | "scratch"
-    parent: Optional[str]  # ckpt_id, None = fresh init
     global_step: int
-    metrics: Optional[dict] = None
-    payload_file: str = ""
+    metrics: Optional[dict] = None  # a released version's held-out evaluation
 
 
 @dataclass
 class Manifest:
-    spec: UpdateSpec
+    plan: TrainingPlan  # the plan as run: its spec's seed is the run seed
     records: list[CheckpointRecord] = field(default_factory=list)
     segments: list[DataSegment] = field(default_factory=list)
 
@@ -50,13 +52,13 @@ class Manifest:
 def manifest_to_dict(m: Manifest) -> dict:
     return {
         "format_version": MANIFEST_FORMAT_VERSION,
-        "spec": spec_to_dict(m.spec),
+        "plan": plan_to_dict(m.plan),
         "segments": [dataclasses.asdict(s) for s in m.segments],
         "records": [dataclasses.asdict(r) for r in m.records],
     }
 
 
-_MANIFEST_KEYS = frozenset({"format_version", "spec", "segments", "records"})
+_MANIFEST_KEYS = frozenset({"format_version", "plan", "segments", "records"})
 _SEGMENT_KEYS = frozenset(f.name for f in dataclasses.fields(DataSegment))
 _RECORD_KEYS = frozenset(f.name for f in dataclasses.fields(CheckpointRecord))
 _METRICS_KEYS = frozenset({"ppl", "nll", "tokens_evaluated"})
@@ -77,41 +79,37 @@ def _metrics_from_dict(d: dict, at: tuple, key) -> dict:
 def _record_from_dict(d: dict, at: tuple, key) -> CheckpointRecord:
     o = JsonObject(d, at, key, _RECORD_KEYS)
     return CheckpointRecord(
-        ckpt_id=o.str("ckpt_id"),
         phase_id=o.str("phase_id"),
-        version=o.int("version", minimum=0),
-        path=o.enum("path", PathKind).value,
-        parent=o.str("parent", nullable=True),
         global_step=o.int("global_step", minimum=0),
         metrics=(
             None if o.fields.get("metrics") is None else o.object("metrics", _metrics_from_dict)
         ),
-        payload_file=o.str("payload_file", ""),
     )
 
 
 def manifest_from_dict(d: dict) -> Manifest:
-    """Read a manifest document; its records must form a lineage.
+    """Read a manifest document.
 
-    Every record names a new `ckpt_id` and a `parent` that is None or an
-    earlier record, the order `run_single` writes them in.
+    Its plan must pass `validate_plan`, whose PlanViolation passes
+    through, and its records must name the plan's phases, one each, in
+    plan order: the order `run_single` writes them in.
     """
-    o = JsonObject(d, ("manifest document",), None, _MANIFEST_KEYS)
-    o.version(MANIFEST_FORMAT_VERSION, "manifest")
+    o = JsonObject(d, ("manifest document",))
+    o.version(MANIFEST_FORMAT_VERSION, "manifest")  # before the keys, which differ by format
+    o.only(_MANIFEST_KEYS)
     m = Manifest(
-        spec=o.object("spec", spec_from_dict),
+        plan=o.object("plan", plan_from_dict),
         records=o.list("records", _record_from_dict),
         segments=o.list("segments", _segment_from_dict),
     )
-    seen: set[str] = set()
-    for rec in m.records:
-        if rec.ckpt_id in seen:
-            raise SchemaMismatch(f"manifest repeats checkpoint {rec.ckpt_id!r}")
-        if rec.parent is not None and rec.parent not in seen:
-            raise SchemaMismatch(
-                f"{rec.ckpt_id}: parent {rec.parent!r} is not an earlier record"
-            )
-        seen.add(rec.ckpt_id)
+    validate_plan(m.plan)
+    ids = [p.phase_id for p in m.plan.phases]
+    got = [r.phase_id for r in m.records]
+    if len(got) != len(ids):
+        raise schema_error(o.at, "records", f"expected {len(ids)} records, one per plan phase, got {len(got)}")
+    if got != ids:
+        i = next(i for i, (a, b) in enumerate(zip(got, ids)) if a != b)
+        raise wrong_value(o.at + ("records", i), "phase_id", repr(ids[i]), got[i])
     return m
 
 

@@ -365,7 +365,7 @@ def build_plan(kind: Paradigm, spec: UpdateSpec) -> TrainingPlan:
                 main_tip = cp.phase_id
 
     else:
-        raise InvalidConfig(f"build_plan does not handle family {kind.family!r}")
+        raise InvalidConfig("a two_stage_probe plan is built only by build_two_stage_probe")
 
     return TrainingPlan(paradigm=kind, spec=spec, phases=tuple(phases))
 
@@ -703,8 +703,8 @@ class _PhaseReader:
         return tuple(json_list(value, at, key, _segment_id))
 
 
-def plan_from_dict(d: dict) -> TrainingPlan:
-    o = JsonObject(d, ("plan document",), None, _PLAN_KEYS)
+def plan_from_dict(d: dict, at: tuple = ("plan document",), key=None) -> TrainingPlan:
+    o = JsonObject(d, at, key, _PLAN_KEYS)
     o.version(PLAN_FORMAT_VERSION, "plan")
     return TrainingPlan(
         paradigm=parse_paradigm(o.str("paradigm")),

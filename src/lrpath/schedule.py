@@ -70,14 +70,19 @@ class ScheduleConfig:
                     f"horizon ({self.horizon})"
                 )
         if not (0.0 <= self.knee_explore_fraction <= 1.0):
-            raise InvalidConfig("knee_explore_fraction must lie in [0, 1]")
+            raise InvalidConfig(
+                f"knee_explore_fraction must lie in [0, 1], got {self.knee_explore_fraction}"
+            )
         b1, b2 = self.multistep_breaks
         if not (0.0 < b1 < b2 < 1.0):
-            raise InvalidConfig("multistep_breaks must be strictly increasing in (0, 1)")
+            raise InvalidConfig(
+                f"multistep_breaks must be strictly increasing in (0, 1), got {self.multistep_breaks}"
+            )
         f1, f2 = self.multistep_factors
         if not (0.0 < f2 < f1 <= 1.0):
             raise InvalidConfig(
-                "multistep_factors must be strictly decreasing positive values <= 1"
+                "multistep_factors must be strictly decreasing positive values <= 1, "
+                f"got {self.multistep_factors}"
             )
 
     def replace(self, **kwargs) -> "ScheduleConfig":

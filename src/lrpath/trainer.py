@@ -276,7 +276,7 @@ def train_phase(
     """Run exactly phase.num_steps steps; returns (model', trace).
 
     The input state is left unchanged, so several phases can fork from one
-    parent state.  The batch stream is seeded by (run_seed, phase_id), so
+    state.  The batch stream is seeded by (run_seed, phase_id), so
     reruns are bit-deterministic.  `data` is the concatenated token array
     of the phase's segments.
     """
@@ -444,7 +444,7 @@ def run_config_from_dict(d: dict) -> tuple[list[Paradigm], UpdateSpec, RunConfig
     return paradigms, spec, run_cfg, seeds
 
 
-def _payload_file(phase: Phase) -> str:
+def _payload_name(phase: Phase) -> str:
     return f"ckpt/{phase.phase_id}_final.bin"
 
 
@@ -474,7 +474,7 @@ class _Run:
             spec, run_cfg.tokens_per_step, plan.paradigm.alpha, run_cfg.heldout_tokens
         )
         self.segments = {s.segment_id: corpus[s.start_offset : s.start_offset + s.length] for s in segments}
-        self.manifest = Manifest(spec=spec, segments=segments)
+        self.manifest = Manifest(plan=dataclasses.replace(plan, spec=spec), segments=segments)
         # phase indices by the phase they init from; under None, the fresh inits
         self.children: dict[Optional[str], list[int]] = {p.phase_id: [] for p in plan.phases}
         self.children[None] = []
@@ -493,10 +493,10 @@ class _Run:
         """The arguments of `_run_phase` for phase `i`.
 
         The last is the phase's content key: a digest of everything that
-        fixes its outcome.  That is the parent's key (for a fresh init, the
-        model config and its seed), the phase's own fields that training
-        and evaluation read, the run seed, the trace stride, and the bytes
-        of the phase's data and of the held-out set.
+        fixes its outcome.  That is the key of the phase it inits from (for
+        a fresh init, the model config and its seed), the phase's own fields
+        that training and evaluation read, the run seed, the trace stride,
+        and the bytes of the phase's data and of the held-out set.
         """
         phase, model = self.plan.phases[i], None
         if phase.init_from is None:
@@ -535,18 +535,8 @@ class _Run:
             t, report = self.outcomes[phase.phase_id]
             if report is not None:
                 results[phase.version] = report
-            self.manifest.records.append(
-                CheckpointRecord(
-                    ckpt_id=f"{phase.phase_id}#final",
-                    phase_id=phase.phase_id,
-                    version=phase.version,
-                    path=phase.path.value,
-                    parent=None if phase.init_from is None else f"{phase.init_from}#final",
-                    global_step=t,
-                    metrics=dataclasses.asdict(report) if report else None,
-                    payload_file=_payload_file(phase),
-                )
-            )
+            metrics = dataclasses.asdict(report) if report else None
+            self.manifest.records.append(CheckpointRecord(phase.phase_id, t, metrics))
         if self.out_dir is not None:
             save_manifest(self.manifest, self.out_dir / "manifest.json")
         return results, self.manifest
@@ -592,7 +582,7 @@ def _run_phase(
     if out_dir is not None:
         # concurrent processes may make it at once
         (out_dir / "ckpt").mkdir(parents=True, exist_ok=True)
-        save_payload(out_dir / _payload_file(phase), model.flat, seed, model.t)
+        save_payload(out_dir / _payload_name(phase), model.flat, seed, model.t)
         with atomic_open(out_dir / f"trace_{phase.phase_id}.csv", "w") as fh:
             fh.write("step,lr,loss\n")
             for s, lr, loss in trace:
@@ -696,8 +686,8 @@ def _start_pool(workers: int) -> ProcessPoolExecutor:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # spawn, not fork: a forked child would inherit the parent's BLAS thread
-    # pool mid-state
+    # spawn, not fork: a forked child would inherit this process's BLAS
+    # thread pool mid-state
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     for _ in range(workers):
         pool.submit(int)  # a no-op: the process starts now, not with the first phase

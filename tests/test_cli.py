@@ -31,6 +31,15 @@ class TestParseParadigm:
         with pytest.raises(InvalidConfig, match="^unknown paradigm 'adamw'$"):
             parse_paradigm("adamw")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Paradigm("foo"), "unknown paradigm family 'foo'"),
+        (lambda: Paradigm("cpt"), "cpt paradigm requires a variant"),
+    ], ids=["unknown_family", "cpt_without_variant"])
+    def test_paradigm_rejected(self, build, message):
+        with pytest.raises(InvalidConfig) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_conveniences(self):
         # bare cpt is cpt:reset_max, and hyphens read as underscores
         assert parse_paradigm("cpt") == parse_paradigm("cpt:") == Paradigm.cpt(CptVariant.RESET_MAX)
@@ -107,6 +116,11 @@ USAGE_ERRORS = {
                                       "--steps", "100,10", "--warmup", "50"],
                                      "rewarm warmup (50) must be smaller than increment 2 (10)"),
     "horizon_zero": (["schedule", "--horizon", "0", "--to", "5"], "horizon must be a positive integer"),
+    # a probe's plan comes from build_two_stage_probe, not from a version count
+    "two_stage_probe": (["plan", "--paradigm", "two_stage_probe", "--steps", "100", *PLAN_ARGS],
+                        "a two_stage_probe plan is built only by build_two_stage_probe"),
+    "plan_versions_zero": (["plan", "--paradigm", "ptfs", "--versions", "0", "--steps", "100", "--warmup", "10"],
+                           "error: num_versions must be >= 1, got 0"),
     # inverse_sqrt was a kind once; it had no decay shape and no run used it
     "inverse_sqrt_kind": (["schedule", "--kind", "inverse_sqrt"],
                           "argument --kind: invalid choice: 'inverse_sqrt'"),
@@ -473,8 +487,9 @@ class TestRun:
     @pytest.mark.parametrize(
         "paradigms, message",
         [(["ptfs:0.5"], "paradigm 'ptfs:0.5': ptfs takes no argument"),
-         ([], "at least one paradigm is required")],
-        ids=["ptfs_argument", "no_paradigms"],
+         ([], "at least one paradigm is required"),
+         (["ptfs", "two_stage_probe"], "a two_stage_probe plan is built only by build_two_stage_probe")],
+        ids=["ptfs_argument", "no_paradigms", "two_stage_probe"],
     )
     def test_paradigm_list_rejected(self, tmp_path, capsys, paradigms, message):
         out = tmp_path / "o"
@@ -489,6 +504,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("invalid config: malformed run config: schedule.kind: ")
         assert "'inverse_sqrt'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("knee_explore_fraction", 1.5, "knee_explore_fraction must lie in [0, 1], got 1.5"),
+        ("multistep_breaks", [0.9, 0.8],
+         "multistep_breaks must be strictly increasing in (0, 1), got (0.9, 0.8)"),
+        ("multistep_factors", [0.1, 0.316],
+         "multistep_factors must be strictly decreasing positive values <= 1, got (0.1, 0.316)"),
+    ], ids=["knee_explore_fraction", "multistep_breaks", "multistep_factors"])
+    def test_shape_parameter_rejected(self, tmp_path, capsys, field, value, message):
+        schedule = {"kind": "cosine", "eta_max": 1e-3, "eta_min": 1e-4, "warmup_steps": 5, field: value}
+        out = tmp_path / "o"
+        assert main(["run", str(run_config(tmp_path, schedule=schedule)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("eta_max", [1000, 1e6, 1e12])

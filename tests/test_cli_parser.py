@@ -137,6 +137,8 @@ USAGE_ERROR_TEXT = {
     "ptfs_with_argument": "error: paradigm 'ptfs:0.5': ptfs takes no argument\n",
     "rewarm_longer_than_increment": "error: rewarm warmup (50) must be smaller than increment 2 (10)\n",
     "horizon_zero": "error: horizon must be a positive integer or INFINITE, got 0\n",
+    "two_stage_probe": "error: a two_stage_probe plan is built only by build_two_stage_probe\n",
+    "plan_versions_zero": "error: num_versions must be >= 1, got 0\n",
     "inverse_sqrt_kind": usage("schedule") + "lrpath schedule: error: argument --kind: invalid "
                                              "choice: 'inverse_sqrt' (choose from 'cosine', "
                                              "'knee', 'multistep', 'constant')\n",

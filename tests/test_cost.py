@@ -37,6 +37,13 @@ class TestWorkedValues:
         with pytest.raises(InvalidConfig, match="^unit steps must be >= 1, got 0$"):
             paradigm_cost(Paradigm.cpt(), 3, 0)
 
+    def test_probe_has_no_closed_form(self):
+        with pytest.raises(InvalidConfig) as exc:
+            paradigm_cost(Paradigm("two_stage_probe"), 2, 10)
+        assert str(exc.value) == (
+            "two_stage_probe has no closed-form cost: a probe's plan is built only by build_two_stage_probe"
+        )
+
 
 class TestProperties:
     @given(

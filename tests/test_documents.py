@@ -60,17 +60,12 @@ def _ptfs_plan():
 
 
 def _manifest():
-    record = CheckpointRecord(
-        ckpt_id="v1-scratch#final",
-        phase_id="v1-scratch",
-        version=1,
-        path="scratch",
-        parent=None,
-        global_step=300,
-        metrics={"ppl": 40.5, "nll": 3.7, "tokens_evaluated": 1991},
-        payload_file="ckpt/v1-scratch_final.bin",
-    )
-    return manifest_to_dict(Manifest(SPEC, [record], allocate_segments(SPEC, 64)))
+    plan = build_plan(Paradigm.ptfs(), SPEC)
+    records = [
+        CheckpointRecord(f"v{v}-scratch", 300 * v, {"ppl": 40.5 - v, "nll": 3.7, "tokens_evaluated": 1991})
+        for v in (1, 2, 3)
+    ]
+    return manifest_to_dict(Manifest(plan, records, allocate_segments(SPEC, 64)))
 
 
 def _run_config():
@@ -107,7 +102,7 @@ DOCUMENTS = {
 }
 SWAPS = [True, "x", "1", 1.5, None, [], {}]
 # fields where null is a valid value
-NULLABLE = {"init_from", "parent", "metrics", "horizon", "corpus_file"}
+NULLABLE = {"init_from", "metrics", "horizon", "corpus_file"}
 
 
 def _json_type(value) -> str:
@@ -181,8 +176,10 @@ def test_type_swap_fuzz(name):
          "got 'sideways'"),
         (_manifest, manifest_from_dict, ("records", 0, "global_step"), "12.5x",
          "malformed manifest document: records[0].global_step: expected an integer >= 0, got '12.5x'"),
-        (_manifest, manifest_from_dict, ("records", 0, "version"), True,
-         "malformed manifest document: records[0].version: expected an integer >= 0, got True"),
+        (_manifest, manifest_from_dict, ("plan", "phases", 0, "version"), True,
+         "malformed manifest document: plan.phases[0].version: expected an integer, got True"),
+        (_manifest, manifest_from_dict, ("plan", "phases", 2, "lr", "config", "eta_max"), True,
+         "malformed manifest document: plan.phases[2].lr.config.eta_max: expected a number, got True"),
         (_manifest, manifest_from_dict, ("segments", 1, "start_offset"), -3,
          "malformed manifest document: segments[1].start_offset: expected an integer >= 0, got -3"),
         (_manifest, manifest_from_dict, ("segments", 2, "length"), "many",
@@ -199,7 +196,7 @@ def test_type_swap_fuzz(name):
          "malformed run config: schedule: missing key 'eta_max'"),
     ],
     ids=["plan_bool_rate", "plan_string_rate", "plan_huge_rate", "plan_list_id", "plan_nested_key", "plan_enum",
-         "manifest_step", "manifest_bool_version", "manifest_offset", "manifest_length",
+         "manifest_step", "manifest_bool_version", "manifest_plan_rate", "manifest_offset", "manifest_length",
          "manifest_metrics", "run_nested_key", "run_model_key", "run_steps", "run_missing_key"],
 )
 def test_error_names_path(make, load, path, value, message):
@@ -305,7 +302,7 @@ def test_float_beyond_range_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("make, load, path", [
     (_ptfs_plan, plan_from_dict, ("spec", "base_schedule", "eta_max")),
     (_ptfs_plan, plan_from_dict, ("phases", 1, "lr", "config", "eta_min")),
-    (_manifest, manifest_from_dict, ("spec", "base_schedule", "eta_max")),
+    (_manifest, manifest_from_dict, ("plan", "spec", "base_schedule", "eta_max")),
 ], ids=["plan_base", "plan_phase", "manifest"])
 def test_infinite_rate_rejected(make, load, path):
     # json reads 1e999 as inf
@@ -355,11 +352,11 @@ def test_plan_phase_per_line():
 
 def test_manifest_record_and_segment_per_line(tmp_path):
     doc = _manifest()
-    doc["records"].append(dict(doc["records"][0], ckpt_id="v2-scratch#final", metrics=None))
+    doc["records"][1]["metrics"] = None
     save_manifest(manifest_from_dict(doc), tmp_path / "manifest.json")
     text = (tmp_path / "manifest.json").read_text(encoding="utf-8")
     assert _assert_one_line_each(text) == doc
-    assert len(doc["records"]) == 2 and len(doc["segments"]) == 3
+    assert len(doc["records"]) == 3 and len(doc["segments"]) == 3
 
 
 def test_report_entry_per_line(tmp_path):

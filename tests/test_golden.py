@@ -133,9 +133,9 @@ EVAL_PINS_FLOAT32 = {
 RUN_OUTPUT_DIGESTS = {
     "report.json": "cc9ed3350ee92cc37459d7088bc8bd631779a07f799668f6edcbcd7a7b0fb425",
     "cpt-reset_max/report.json": "dcc81169b58d49a34eacf628332915fd5a3a1c3e58ef95fc3edd66e79d852179",
-    "cpt-reset_max/seed0/manifest.json": "8414998dd0ed994b4ce14086dfa877ce79531b9715a4da4793bd5325f9dad755",
+    "cpt-reset_max/seed0/manifest.json": "b128f2ba61bd3e4ad0447ffdb6779b76c2021265aed64017e045c9ea58a542d1",
     "path_switch-0.6/report.json": "5ab2e74d463409c57dab4edc44c55685488a744f0764e7af8847a287bdb1db4a",
-    "path_switch-0.6/seed0/manifest.json": "d1a693e7ec939b4a680805ff2de0a81a8ea60518aa24be0a28466f3f7861178e",
+    "path_switch-0.6/seed0/manifest.json": "40dc3be8e46243b3810704b3db55b1658627f3757bfabdc4346c46b74088fd06",
 }
 
 # sha256 of the stdout of `lrpath schedule --kind <kind>` plus these flags
@@ -263,18 +263,18 @@ def test_run_output_bytes(run_out, name):
 
 @pytest.mark.parametrize("label", RUN_DOC["paradigms"])
 def test_global_step_is_lineage_steps(run_out, label):
-    # a checkpoint's step counts every optimizer step since its fresh init
+    # a checkpoint's step counts every optimizer step since its fresh init,
+    # along the `init_from` links of the plan the manifest holds
     run_dir = run_out / label.replace(":", "-") / "seed0"
     manifest = load_manifest(run_dir / "manifest.json")
-    phases = {p.phase_id: p for p in build_plan(parse_paradigm(label), manifest.spec).phases}
-    records = {r.ckpt_id: r for r in manifest.records}
+    phases = {p.phase_id: p for p in manifest.plan.phases}
     for rec in manifest.records:
-        steps, cur = 0, rec
+        steps, cur = 0, phases[rec.phase_id]
         while cur is not None:
-            steps += phases[cur.phase_id].num_steps
-            cur = records.get(cur.parent)
-        _, seed, header_step = load_payload(run_dir / rec.payload_file)
-        assert rec.global_step == steps == header_step, rec.ckpt_id
+            steps += cur.num_steps
+            cur = phases.get(cur.init_from)
+        _, seed, header_step = load_payload(run_dir / "ckpt" / f"{rec.phase_id}_final.bin")
+        assert rec.global_step == steps == header_step, rec.phase_id
         assert seed == 0
 
 

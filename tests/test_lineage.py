@@ -1,12 +1,15 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrpath.cli import main
 from lrpath.data import allocate_segments, derive_seed
-from lrpath.errors import SchemaMismatch
+from lrpath.errors import PlanViolation, SchemaMismatch
 from lrpath.lineage import (
     CheckpointRecord,
     Manifest,
@@ -18,8 +21,20 @@ from lrpath.lineage import (
     save_manifest,
     save_payload,
 )
-from lrpath.paradigm import Paradigm, build_plan, plan_from_dict, plan_to_dict, uniform_spec
-from lrpath.schedule import ScheduleConfig, ScheduleKind
+from lrpath.paradigm import (
+    CptVariant,
+    Paradigm,
+    build_plan,
+    build_two_stage_probe,
+    parse_paradigm,
+    plan_cost,
+    plan_from_dict,
+    plan_to_dict,
+    spec_to_dict,
+    uniform_spec,
+)
+from lrpath.schedule import INFINITE, ScheduleConfig, ScheduleKind
+from lrpath.trainer import RunConfig, ToyModelConfig, run_config_from_dict, run_single
 
 BASE = ScheduleConfig(ScheduleKind.COSINE, 3e-4, 3e-5, 100, 1000)
 
@@ -87,76 +102,139 @@ class TestAllocateSegments:
         assert covered[-1][1] == n * t * tps
 
 
+def _outcomes(plan, rng) -> list[CheckpointRecord]:
+    """A record per phase, in plan order: its global step counts the steps
+    along its lineage, and a released version has metrics."""
+    steps: dict = {None: 0}
+    records = []
+    for p in plan.phases:
+        steps[p.phase_id] = steps[p.init_from] + p.num_steps
+        metrics = None
+        if p.emits_version_checkpoint:
+            metrics = {"ppl": float(rng.uniform(1, 500)), "nll": float(rng.uniform(0, 7)),
+                       "tokens_evaluated": int(rng.integers(1, 10**5))}
+        records.append(CheckpointRecord(p.phase_id, steps[p.phase_id], metrics))
+    return records
+
+
+def _manifest_of(plan, rng=None) -> Manifest:
+    rng = np.random.default_rng(0) if rng is None else rng
+    segments = allocate_segments(plan.spec, 64, plan.paradigm.alpha, 1000)
+    return Manifest(plan=plan, records=_outcomes(plan, rng), segments=segments)
+
+
+def _path_switch_document() -> dict:
+    spec = uniform_spec(2, 100, BASE.replace(warmup_steps=10), seed=5)
+    return manifest_to_dict(_manifest_of(build_plan(Paradigm.path_switch(0.6), spec)))
+
+
 class TestRecords:
-    """A manifest read from disk must hold a lineage: new ids, earlier parents."""
-
-    def document(self, *records):
-        spec = uniform_spec(2, 100, BASE.replace(warmup_steps=10))
-        m = Manifest(spec=spec, records=[self.rec(*r) for r in records], segments=[])
-        return manifest_to_dict(m)
-
-    def rec(self, ckpt_id, parent=None):
-        return CheckpointRecord(
-            ckpt_id=ckpt_id,
-            phase_id=ckpt_id.split("#")[0],
-            version=1,
-            path="main",
-            parent=parent,
-            global_step=100,
-            metrics={"ppl": 42.0},
-            payload_file=f"ckpt/{ckpt_id.replace('#', '_')}.bin",
-        )
+    """A manifest read from disk holds a lineage: its plan passes
+    `validate_plan`, and its records follow the plan's phases."""
 
     def test_lineage_accepted(self):
-        doc = self.document(("a#final",), ("b#final", "a#final"), ("c#final", "a#final"))
-        assert [r.parent for r in manifest_from_dict(doc).records] == [None, "a#final", "a#final"]
+        m = manifest_from_dict(_path_switch_document())
+        assert [(p.phase_id, p.init_from) for p in m.plan.phases] == [
+            ("v1-main", None), ("v1-branch", "v1-main"), ("v1-cont", "v1-main"),
+            ("v2-main", "v1-cont"), ("v2-branch", "v2-main"),
+        ]
+        assert [r.phase_id for r in m.records] == [p.phase_id for p in m.plan.phases]
+        assert [r.global_step for r in m.records] == [40, 100, 100, 140, 200]
+        assert m.plan.spec.seed == 5
 
     def test_duplicate(self):
-        doc = self.document(("a#final",), ("a#final",))
-        with pytest.raises(SchemaMismatch, match="repeats checkpoint 'a#final'"):
+        doc = _path_switch_document()
+        doc["plan"]["phases"][2]["phase_id"] = doc["records"][2]["phase_id"] = "v1-branch"
+        with pytest.raises(PlanViolation, match="^v1-branch: duplicate phase_id$"):
             manifest_from_dict(doc)
 
     def test_dangling_parent(self):
-        doc = self.document(("b#final", "missing#final"))
-        with pytest.raises(SchemaMismatch, match="'missing#final' is not an earlier record"):
+        doc = _path_switch_document()
+        doc["plan"]["phases"][1]["init_from"] = "missing"
+        with pytest.raises(PlanViolation, match="^v1-branch: init_from 'missing' not an earlier phase$"):
             manifest_from_dict(doc)
-        # a parent recorded only after its child is dangling too
-        doc = self.document(("b#final", "a#final"), ("a#final",))
-        with pytest.raises(SchemaMismatch, match="not an earlier record"):
+        # a phase that inits from one after it is dangling too
+        doc["plan"]["phases"][1]["init_from"] = "v1-cont"
+        with pytest.raises(PlanViolation, match="^v1-branch: init_from 'v1-cont' not an earlier phase$"):
+            manifest_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop(), "records: expected 5 records, one per plan phase, got 4"),
+            (lambda r: r.append(dict(r[0])), "records: expected 5 records, one per plan phase, got 6"),
+            (lambda r: r.insert(1, r.pop(2)), "records[1].phase_id: expected 'v1-branch', got 'v1-cont'"),
+            (lambda r: r[4].update(phase_id="v2-cont"), "records[4].phase_id: expected 'v2-branch', got 'v2-cont'"),
+        ],
+        ids=["missing", "extra", "out_of_order", "unknown_phase"],
+    )
+    def test_records_follow_the_plan(self, edit, message):
+        doc = _path_switch_document()
+        edit(doc["records"])
+        with pytest.raises(SchemaMismatch, match=f"^malformed manifest document: {re.escape(message)}$"):
             manifest_from_dict(doc)
 
 
-def random_manifest(rng):
+class TestRunDirectory:
+    """From a run directory alone: the plan that ran, its cost and its payloads."""
+
+    def test_cli_run(self, tmp_path):
+        config = {
+            "paradigms": ["ptfs", "cpt:keep_min", "path_switch:0.6"], "num_versions": 2,
+            "steps_per_version": 20, "seeds": [0, 3],
+            "schedule": {"kind": "cosine", "eta_max": 3e-3, "eta_min": 3e-4, "warmup_steps": 2},
+            "model": {"embed_dim": 8, "hidden_dim": 16}, "tokens_per_step": 16, "heldout_tokens": 500,
+        }
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(tmp_path / "run.json"), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+        _, spec, _, _ = run_config_from_dict(config)
+        summary = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        for label in config["paradigms"]:
+            for seed in config["seeds"]:
+                run_dir = tmp_path / "out" / label.replace(":", "-") / f"seed{seed}"
+                m = load_manifest(run_dir / "manifest.json")
+                assert m.plan == build_plan(parse_paradigm(label), spec.replace(seed=seed))
+                assert plan_cost(m.plan) == summary[label]["total_steps"]
+                assert all((run_dir / "ckpt" / f"{r.phase_id}_final.bin").is_file() for r in m.records)
+
+    def test_probe(self, tmp_path):
+        spec = uniform_spec(2, 20, BASE.replace(warmup_steps=2))
+        plan = build_two_stage_probe(INFINITE, 20, 10, 30, spec)
+        run_cfg = RunConfig(model=ToyModelConfig(embed_dim=8, hidden_dim=16), tokens_per_step=16, heldout_tokens=500)
+        _, manifest = run_single(plan, run_cfg, 7, tmp_path)
+        m = load_manifest(tmp_path / "manifest.json")
+        assert m == manifest
+        assert m.plan == dataclasses.replace(plan, spec=plan.spec.replace(seed=7))
+        assert plan_cost(m.plan) == 50
+        assert [r.global_step for r in m.records] == [20, 50]
+
+
+_KINDS = list(ScheduleKind)
+_PARADIGMS = ["ptfs", *(f"cpt:{v.value}" for v in CptVariant), "path_switch:0.6", "path_switch:1",
+              "two_stage_probe"]
+
+
+def random_manifest(rng) -> Manifest:
+    """The manifest of a random valid plan, with a random seed and outcomes."""
+    label = _PARADIGMS[int(rng.integers(len(_PARADIGMS)))]
     n = int(rng.integers(1, 5))
     t = int(rng.integers(20, 2000))
-    warm = int(rng.integers(1, min(t, 50)))
-    kinds = list(ScheduleKind)
-    kind = kinds[int(rng.integers(len(kinds)))]
+    kind = _KINDS[int(rng.integers(len(_KINDS)))]
+    if label.startswith("path_switch") and kind is ScheduleKind.CONSTANT:
+        kind = ScheduleKind.COSINE  # a branch decays, and constant has no decay shape
     schedule = ScheduleConfig(
         kind,
         float(rng.uniform(1e-5, 1e-2)),
         float(rng.uniform(1e-7, 1e-5)),
-        warm,
+        int(rng.integers(1, min(t, 50))),
         t,
     )
     spec = uniform_spec(n, t, schedule, seed=int(rng.integers(0, 2**32)))
-    segs = allocate_segments(spec, 64)
-    m = Manifest(spec=spec, records=[], segments=list(segs))
-    prev = None
-    for i in range(int(rng.integers(0, 6))):
-        rec = CheckpointRecord(
-            ckpt_id=f"p{i}#final",
-            phase_id=f"p{i}",
-            version=i + 1,
-            path=str(rng.choice(["main", "branch", "scratch"])),
-            parent=prev,
-            global_step=int(rng.integers(0, 10**6)),
-            metrics={"ppl": float(rng.uniform(1, 500)), "nll": float(rng.uniform(0, 7))},
-            payload_file=f"ckpt/p{i}.bin",
-        )
-        m.records.append(rec)
-        prev = rec.ckpt_id
-    return m
+    if label == "two_stage_probe":
+        plan = build_two_stage_probe(INFINITE, t, int(rng.integers(1, 2 * t)), int(rng.integers(1, 2 * t)), spec)
+    else:
+        plan = build_plan(parse_paradigm(label), spec)
+    return _manifest_of(plan, rng)
 
 
 class TestManifestSerialization:
@@ -180,15 +258,31 @@ class TestManifestSerialization:
         rng = np.random.default_rng(8)
         doc = manifest_to_dict(random_manifest(rng))
         doc["format_version"] = 99
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match="^unsupported manifest format_version 99$"):
             manifest_from_dict(doc)
         # a v1 manifest: segments also carry increment_index and sampling_seed
         doc["format_version"] = 1
         for seg in doc["segments"]:
             seg["increment_index"] = int(seg["segment_id"].split("/")[0][3:])
-            seg["sampling_seed"] = derive_seed(doc["spec"]["seed"], seg["segment_id"])
-        with pytest.raises(SchemaMismatch, match="format_version 1"):
+            seg["sampling_seed"] = derive_seed(doc["plan"]["spec"]["seed"], seg["segment_id"])
+        with pytest.raises(SchemaMismatch, match="^unsupported manifest format_version 1$"):
             manifest_from_dict(doc)
+
+    def test_format_2_rejected(self):
+        # format 2 held the spec and records with checkpoint ids and parent links
+        spec = uniform_spec(1, 100, BASE.replace(warmup_steps=10))
+        doc = {
+            "format_version": 2,
+            "spec": spec_to_dict(spec),
+            "segments": [dataclasses.asdict(s) for s in allocate_segments(spec, 64)],
+            "records": [{
+                "ckpt_id": "v1-scratch#final", "phase_id": "v1-scratch", "version": 1, "path": "scratch",
+                "parent": None, "global_step": 100, "metrics": None, "payload_file": "ckpt/v1-scratch_final.bin",
+            }],
+        }
+        with pytest.raises(SchemaMismatch) as exc:
+            manifest_from_dict(doc)
+        assert str(exc.value) == "unsupported manifest format_version 2"
 
     def test_missing_field(self):
         rng = np.random.default_rng(9)
@@ -204,11 +298,11 @@ class TestManifestSerialization:
     def test_malformed_document_rejected(self, tmp_path, breakage):
         doc = manifest_to_dict(random_manifest(np.random.default_rng(11)))
         if breakage == "bogus_schedule_kind":
-            doc["spec"]["base_schedule"]["kind"] = "bogus"
+            doc["plan"]["spec"]["base_schedule"]["kind"] = "bogus"
         elif breakage == "missing_spec_field":
-            del doc["spec"]["increments"]
+            del doc["plan"]["spec"]["increments"]
         else:
-            doc["records"].append({"ckpt_id": "x#final", "unknown": 1})
+            doc["records"].append({"phase_id": "x", "unknown": 1})
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch, match="malformed manifest document"):
@@ -285,6 +379,12 @@ def _with_string_schedule(doc):
     return doc
 
 
+def _manifest_with_string_schedule():
+    doc = manifest_to_dict(random_manifest(np.random.default_rng(3)))
+    _with_string_schedule(doc["plan"])
+    return doc
+
+
 @pytest.mark.parametrize(
     "load, doc",
     [
@@ -293,10 +393,7 @@ def _with_string_schedule(doc):
         (plan_from_dict, lambda: _with_string_schedule(_plan_doc())),
         (manifest_from_dict, lambda: []),
         (manifest_from_dict, lambda: None),
-        (
-            manifest_from_dict,
-            lambda: _with_string_schedule(manifest_to_dict(random_manifest(np.random.default_rng(3)))),
-        ),
+        (manifest_from_dict, _manifest_with_string_schedule),
     ],
     ids=["plan_list", "plan_string", "plan_string_schedule",
          "manifest_list", "manifest_null", "manifest_string_schedule"],

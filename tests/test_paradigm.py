@@ -14,7 +14,7 @@ from lrpath.errors import (
     PlanViolation,
     SchemaMismatch,
 )
-from lrpath.lineage import Manifest, manifest_from_dict, manifest_to_dict
+from lrpath.lineage import CheckpointRecord, Manifest, manifest_from_dict, manifest_to_dict
 from lrpath.paradigm import (
     CptVariant,
     DecayProfile,
@@ -373,7 +373,8 @@ def _plan_doc(edit):
 
 
 def _manifest_doc(edit):
-    doc = manifest_to_dict(Manifest(spec=uniform_spec(2, 300, BASE.replace(warmup_steps=50))))
+    plan = build_plan(Paradigm.path_switch(0.5), uniform_spec(2, 300, BASE.replace(warmup_steps=50)))
+    doc = manifest_to_dict(Manifest(plan, [CheckpointRecord(p.phase_id, 0) for p in plan.phases]))
     edit(doc)
     return manifest_from_dict(doc)
 
@@ -427,9 +428,9 @@ class TestValidByConstruction:
              "^paradigm 'ptfs:0.5': ptfs takes no argument$"),
             (lambda: _plan_doc(lambda d: d["spec"]["base_schedule"].update(eta_min=1.0)), InvalidConfig,
              "exceeds eta_max"),
-            (lambda: _manifest_doc(lambda d: d["spec"].update(increments=[50, 300])), InvalidConfig,
+            (lambda: _manifest_doc(lambda d: d["plan"]["spec"].update(increments=[50, 300])), InvalidConfig,
              "warmup_steps \\(50\\) must be smaller than the first increment \\(50\\)"),
-            (lambda: _manifest_doc(lambda d: d["spec"]["base_schedule"].update(warmup_steps=-1)),
+            (lambda: _manifest_doc(lambda d: d["plan"]["spec"]["base_schedule"].update(warmup_steps=-1)),
              InvalidConfig, "warmup_steps must be >= 0"),
             *(
                 (lambda pid=pid: _plan_doc(lambda d: d["phases"][0].update(phase_id=pid)), PlanViolation,
@@ -629,7 +630,7 @@ class TestSerialization:
 
     def test_non_integer_count_rejected_in_manifest(self):
         with pytest.raises(SchemaMismatch, match="malformed manifest document"):
-            _manifest_doc(lambda d: d["spec"].update(increments=[300, 300.5]))
+            _manifest_doc(lambda d: d["plan"]["spec"].update(increments=[300, 300.5]))
 
     def test_integral_floats_load(self):
         # JSON writers may emit 3e2 for 300
